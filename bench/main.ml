@@ -33,8 +33,8 @@ let experiments =
 let usage () =
   Printf.eprintf
     "usage: main.exe [all|%s] [-s N] [--no-timing] [--csv DIR] [--jobs N] [--json FILE] \
-     [--verify] [--strict] [--journal FILE] [--store DIR] [--loop-budget-ms N] [--cases N] [--fuzz-seed N] \
-     [--trace FILE] [--metrics FILE] [--backend heuristic|exact|portfolio] [--backend-diff] \
+     [--verify] [--strict] [--store DIR] [--loop-budget-ms N] [--cases N] [--fuzz-seed N] \
+     [--trace FILE] [--metrics FILE] [--backend heuristic|exact] [--backend-diff] \
      [--ledger FILE] [--ledger-wall]\n\
      \       main.exe report LEDGER\n\
      \       main.exe diff OLD NEW [--threshold PCT]\n\
@@ -132,7 +132,6 @@ let ( selected,
       json_path,
       verify_flag,
       strict_flag,
-      journal_path,
       store_dir,
       loop_budget_ms,
       fuzz_cases,
@@ -146,7 +145,7 @@ let ( selected,
   let selected = ref "all" and sample = ref None and timing = ref true in
   let csv = ref None and jobs = ref None and json = ref None in
   let verify = ref false and cases = ref 200 and seed = ref 0x5EEDL in
-  let strict = ref false and journal = ref None and budget = ref None in
+  let strict = ref false and budget = ref None in
   let store = ref None in
   let trace = ref None and metrics = ref None in
   let backend = ref None and diff = ref false in
@@ -164,9 +163,6 @@ let ( selected,
         parse rest
     | "--strict" :: rest ->
         strict := true;
-        parse rest
-    | "--journal" :: path :: rest ->
-        journal := Some path;
         parse rest
     | "--store" :: dir :: rest ->
         store := Some dir;
@@ -221,8 +217,8 @@ let ( selected,
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  ( !selected, !sample, !timing, !csv, !jobs, !json, !verify, !strict, !journal, !store,
-    !budget, !cases, !seed, !trace, !metrics, !backend, !diff, !ledger, !lwall )
+  ( !selected, !sample, !timing, !csv, !jobs, !json, !verify, !strict, !store, !budget,
+    !cases, !seed, !trace, !metrics, !backend, !diff, !ledger, !lwall )
 
 let () = Option.iter Wr_util.Pool.set_default_jobs jobs_flag
 
@@ -239,14 +235,6 @@ let () = if ledger_path <> None then Core.Provenance.set_capture true
 let () = if ledger_wall then Core.Provenance.set_wall true
 
 let () = Core.Evaluate.set_loop_budget_ms loop_budget_ms
-
-let () =
-  Option.iter
-    (fun path ->
-      let replayed = Core.Evaluate.attach_journal path in
-      if replayed > 0 then
-        Printf.printf "[journal] resumed %d completed points from %s\n%!" replayed path)
-    journal_path
 
 (* --store falls back to WR_STORE, mirroring the CLI. *)
 let store_dir =
@@ -977,8 +965,8 @@ let run_experiment id =
           "sched/forces"; "sched/budget_exhausted"; "driver/probes"; "spill/vregs_spilled";
           "spill/stores_added"; "spill/loads_added"; "spill/reloads_memoized" ];
       (* The exact backend's search counters only tick under
-         --backend exact/portfolio (or after a gap run); suppress the
-         section when the heuristic handled everything. *)
+         --backend exact (or after a gap run); suppress the section
+         when the heuristic handled everything. *)
       if counter "search/at_ii" > 0 then begin
         Printf.printf "\nExact-backend search totals:\n";
         List.iter
@@ -1130,7 +1118,6 @@ let () =
         (Core.Evaluate.store_appended ());
       Core.Evaluate.detach_store ())
     store_dir;
-  Core.Evaluate.detach_journal ();
   (match List.rev !deferred_failures with
   | [] -> ()
   | fs ->

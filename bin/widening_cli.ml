@@ -34,7 +34,7 @@ let experiment_ids =
     "ablation-rotating"; "ablation-ordering"; "icache"; "traffic"; "dcache"; "balance"; "all";
   ]
 
-let run_experiment id sample jobs trace metrics strict journal store budget backend ledger =
+let run_experiment id sample jobs trace metrics strict store budget backend ledger =
   let store = store_or_env store in
   Option.iter Wr_sched.Backend.set backend;
   Option.iter Wr_util.Pool.set_default_jobs jobs;
@@ -42,12 +42,6 @@ let run_experiment id sample jobs trace metrics strict journal store budget back
   if ledger <> None then Core.Provenance.set_capture true;
   if strict then Core.Evaluate.set_strict true;
   Core.Evaluate.set_loop_budget_ms budget;
-  Option.iter
-    (fun path ->
-      let replayed = Core.Evaluate.attach_journal path in
-      if replayed > 0 then
-        Printf.eprintf "[journal] resumed %d completed points from %s\n%!" replayed path)
-    journal;
   Option.iter
     (fun dir ->
       match Core.Evaluate.attach_store dir with
@@ -126,7 +120,6 @@ let run_experiment id sample jobs trace metrics strict journal store budget back
         (Core.Evaluate.store_appended ());
       Core.Evaluate.detach_store ())
     store;
-  Core.Evaluate.detach_journal ();
   (* Completed-with-quarantine is exit 3 (see README "Exit codes"):
      distinct from success and from hard failure, so CI can tell a
      degraded sweep from a crashed one. *)
@@ -187,14 +180,6 @@ let strict_arg =
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
-let journal_arg =
-  let doc =
-    "Journal each completed evaluation point to FILE and, if FILE already holds a previous \
-     (possibly interrupted) run, resume from it: completed points are replayed instead of \
-     recomputed, and the final output is byte-identical to an uninterrupted run."
-  in
-  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-
 let budget_arg =
   let doc =
     "Wall-clock budget per loop evaluation in milliseconds, enforced cooperatively at \
@@ -213,15 +198,15 @@ let budget_arg =
 
 let backend_arg =
   let doc =
-    "Modulo-scheduler backend: $(b,heuristic) (the HRMS-style default), $(b,exact) \
-     (branch-and-bound refinement of the heuristic schedule), or $(b,portfolio) (race \
-     both and keep the better result).  Also the WR_SCHED_BACKEND environment variable."
+    "Modulo-scheduler backend: $(b,heuristic) (the HRMS-style default) or $(b,exact) \
+     (branch-and-bound refinement of the heuristic schedule).  Also the WR_SCHED_BACKEND \
+     environment variable."
   in
   let backend_conv =
     let parse s =
       match Wr_sched.Backend.of_string s with
       | Some k -> Ok k
-      | None -> Error (`Msg "BACKEND must be heuristic, exact or portfolio")
+      | None -> Error (`Msg "BACKEND must be heuristic or exact")
     in
     Arg.conv
       (parse, fun fmt k -> Format.pp_print_string fmt (Wr_sched.Backend.to_string k))
@@ -240,10 +225,12 @@ let ledger_arg =
 let store_arg =
   let doc =
     "Consult and append to a persistent content-addressed result store at DIR: evaluation \
-     points already present (keyed by provenance hash) are answered from the store without \
-     re-evaluation, and every fresh clean evaluation is appended.  The store is crash-safe \
-     (checksummed append-only segments; torn tails and corrupt segments are recovered on \
-     open) and single-writer (a stale lock from a killed process is broken automatically)."
+     points already present (keyed by provenance hash and scheduler backend) are answered \
+     from the store without re-evaluation, and every fresh clean evaluation is appended.  \
+     Re-running an interrupted run on the same DIR resumes it, with output byte-identical \
+     to an uninterrupted run.  The store is crash-safe (checksummed append-only segments; \
+     torn tails and corrupt segments are recovered on open) and single-writer (a stale lock \
+     from a killed process is broken automatically)."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
 
@@ -256,7 +243,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables or figures")
     Term.(const run_experiment $ id $ sample_arg $ jobs_arg $ trace_arg $ metrics_arg
-          $ strict_arg $ journal_arg $ store_arg $ budget_arg $ backend_arg $ ledger_arg)
+          $ strict_arg $ store_arg $ budget_arg $ backend_arg $ ledger_arg)
 
 (* --- schedule --------------------------------------------------------- *)
 

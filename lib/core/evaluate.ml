@@ -347,87 +347,13 @@ let cache_store key agg =
   Hashtbl.replace cache key agg;
   Mutex.unlock cache_mutex
 
-(* Checkpoint/resume.  The journal records exactly the loop-level memo
-   entries — the unit of work worth not repeating — so replay is a bulk
-   load into [loop_cache] and appending happens where the cache is
-   filled.  Only cleanly computed results are journaled: a quarantined
-   point must be re-evaluated on resume, when the fault may be gone. *)
-let journal : Journal.t option ref = ref None
-
-let journal_mutex = Mutex.create ()
-
-let entry_of_result (key : string * int * int * int * int * int) (r : loop_result) =
-  let suite_id, index, buses, width, registers, cycles = key in
-  {
-    Journal.key = { Journal.suite_id; index; buses; width; registers; cycles };
-    ii = r.ii;
-    cycles_bits = Int64.bits_of_float r.cycles;
-    required_regs = r.required_regs;
-    spill_stores = r.spill_stores;
-    spill_loads = r.spill_loads;
-    spill_rounds = r.spill_rounds;
-    pipelined = r.pipelined;
-    mii = r.mii;
-    trip_count = r.trip_count;
-  }
-
-let result_of_entry (e : Journal.entry) =
-  {
-    ii = e.Journal.ii;
-    cycles = Int64.float_of_bits e.Journal.cycles_bits;
-    required_regs = e.Journal.required_regs;
-    spill_stores = e.Journal.spill_stores;
-    spill_loads = e.Journal.spill_loads;
-    spill_rounds = e.Journal.spill_rounds;
-    pipelined = e.Journal.pipelined;
-    mii = e.Journal.mii;
-    trip_count = e.Journal.trip_count;
-  }
-
-let detach_journal () =
-  Mutex.lock journal_mutex;
-  let j = !journal in
-  journal := None;
-  Mutex.unlock journal_mutex;
-  match j with None -> () | Some t -> Journal.close t
-
-let attach_journal path =
-  detach_journal ();
-  let t, entries = Journal.open_for_resume path in
-  Mutex.lock cache_mutex;
-  List.iter
-    (fun (e : Journal.entry) ->
-      let k = e.Journal.key in
-      Hashtbl.replace loop_cache
-        (k.Journal.suite_id, k.Journal.index, k.Journal.buses, k.Journal.width,
-         k.Journal.registers, k.Journal.cycles)
-        (result_of_entry e))
-    entries;
-  Mutex.unlock cache_mutex;
-  Mutex.lock journal_mutex;
-  journal := Some t;
-  Mutex.unlock journal_mutex;
-  List.length entries
-
-let flush_journal () =
-  Mutex.lock journal_mutex;
-  let j = !journal in
-  Mutex.unlock journal_mutex;
-  match j with None -> () | Some t -> Journal.flush t
-
-let journal_append key r =
-  Mutex.lock journal_mutex;
-  let j = !journal in
-  Mutex.unlock journal_mutex;
-  match j with None -> () | Some t -> Journal.append t (entry_of_result key r)
-
-(* Persistent content-addressed store (see {!Store}).  Unlike the
-   journal — whose entries are bulk-replayed into [loop_cache] on
-   attach — the store is keyed by content hash, so it is consulted
-   lazily on each loop-cache miss: the hash needs the loop body, which
-   only the miss path holds.  Store hits become ordinary cache entries;
-   they are neither journaled (they were not evaluated by this run) nor
-   recorded in the provenance ledger (same rule as journal replays). *)
+(* Persistent content-addressed store (see {!Store}): the crash-safe
+   record of every clean evaluation, so re-running an interrupted sweep
+   on the same store is its resume.  It is consulted lazily on each
+   loop-cache miss because its key needs the loop body, which only the
+   miss path holds.  Store hits become ordinary cache entries; they are
+   not recorded in the provenance ledger (they are not decisions of
+   this run). *)
 let store : Store.t option ref = ref None
 
 let store_mutex = Mutex.create ()
@@ -472,6 +398,18 @@ let store_entry_of_result hash (r : loop_result) =
     mii = r.mii;
     trip_count = r.trip_count;
   }
+
+(* The store key: the point hash, which alone cannot tell which backend
+   scheduled the point.  The default heuristic keeps the bare hash, so
+   existing stores stay valid; any other backend mixes its name in, so a
+   store shared across backends never answers one with the other's
+   result.  The ledger keeps the bare hash: [bench diff] joins on it and
+   reports backend changes per point. *)
+let store_key ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
+  let h = Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop in
+  match Wr_sched.Backend.current () with
+  | Wr_sched.Backend.Heuristic -> h
+  | k -> Wr_obs.Ledger.fnv1a64 (Printf.sprintf "%Lx backend=%s" h (Wr_sched.Backend.to_string k))
 
 let result_of_store_entry (e : Store.entry) =
   {
@@ -572,17 +510,16 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
          clean result; it enters the loop cache like any other entry
          and is served without touching the scheduler. *)
       let attached_store = current_store () in
-      let point_hash =
+      let key_hash =
         match attached_store with
         | None -> 0L
-        | Some _ ->
-            Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop
+        | Some _ -> store_key ~suite_id ~index c ~cycle_model ~registers loop
       in
       let from_store =
         match attached_store with
         | None -> None
         | Some st -> (
-            match Store.find st point_hash with
+            match Store.find st key_hash with
             | Some e ->
                 Atomic.incr store_hits;
                 if Obs.enabled () then Obs.incr "eval/store_hits";
@@ -665,23 +602,21 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
       in
       Mutex.unlock cache_mutex;
       if clean && stored == r then begin
-        journal_append key r;
-        (* The store shares the journal's discipline — only the winning
-           clean evaluation persists; quarantined points must re-run.
-           An append racing a detach is dropped, not fatal. *)
+        (* Only the winning clean evaluation persists; a quarantined
+           point must re-run, when the fault may be gone.  An append
+           racing a detach is dropped, not fatal. *)
         match attached_store with
         | Some st -> (
-            (* Flush per append: an evaluation costs far more than an
-               fsync, and a SIGKILLed process must not lose results it
-               already served (the warm-start guarantee). *)
+            (* Flush per append: a SIGKILLed process must not lose
+               results it already served (the warm-start guarantee). *)
             try
-              Store.add st (store_entry_of_result point_hash r);
+              Store.add st (store_entry_of_result key_hash r);
               Store.flush st
             with Invalid_argument _ -> ())
         | None -> ()
       end;
       (* Same first-store-wins discipline: only the winning evaluation
-         describes the point, and — unlike the journal — a quarantined
+         describes the point, and — unlike the store — a quarantined
          point is recorded too, exception tag and all. *)
       if cap && stored == r then begin
         let wall_us = if wall then Some ((Obs.now_ns () - t0) / 1000) else None in
@@ -710,9 +645,7 @@ let probe ~suite_id ~index (c : Config.t) ~cycle_model ~registers =
 let probe_store ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
   match current_store () with
   | None -> false
-  | Some st ->
-      Store.find st (Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop)
-      <> None
+  | Some st -> Store.find st (store_key ~suite_id ~index c ~cycle_model ~registers loop) <> None
 
 let suite_on ?pool ~suite_id (c : Config.t) ~cycle_model ~registers loops =
   let key =

@@ -144,43 +144,26 @@ val quarantined_count : unit -> int
 
 val reset_quarantine : unit -> unit
 
-(** {2 Checkpoint/resume}
+(** {2 Persistent store and resume}
 
-    The journal (see {!Journal}) records each cleanly completed
-    loop-level point; attaching one replays its intact prefix into the
-    loop cache, so a re-run after a crash recomputes only the missing
-    points and — floats round-tripping through their bit patterns —
-    produces output byte-identical to an uninterrupted run.
-    Quarantined points are deliberately not journaled: a resume retries
-    them. *)
-
-val attach_journal : string -> int
-(** Open (creating if absent) a journal at the given path, replay its
-    intact prefix into the loop cache, and append every subsequent
-    clean evaluation to it.  Returns the number of points replayed.
-    Detaches any previously attached journal first.  Note that
-    {!clear_cache} drops replayed entries like any others; attach after
-    clearing. *)
-
-val detach_journal : unit -> unit
-(** Flush, close, and stop journaling.  No-op when none is attached. *)
-
-val flush_journal : unit -> unit
-(** Force buffered journal records to disk (also done on detach). *)
-
-(** {2 Persistent store}
-
-    The content-addressed result store (see {!Store}) is the cross-run
-    complement of the journal: keyed by {!Provenance.point_hash}, it is
-    consulted on every loop-cache miss and appended to on every clean
+    The content-addressed result store (see {!Store}) is consulted on
+    every loop-cache miss and appended to (and fsynced) on every clean
     first-store-wins evaluation, so any process attached to the same
-    store directory — a restarted server, a fresh sweep — warm-starts
-    with zero re-evaluations for points it has seen.  Store hits become
-    ordinary cache entries: they are neither journaled nor emitted as
-    provenance records (they are not decisions of this run), and they
-    are not re-verified under {!set_verify} (the entry was verified, if
-    at all, by the run that evaluated it).  Quarantined points are
-    never stored; a later run retries them. *)
+    store directory — a restarted server, a fresh sweep, or the re-run
+    of a sweep that crashed — warm-starts with zero re-evaluations for
+    points it has seen, and its output is byte-identical to an
+    uninterrupted run (floats round-trip through their bit patterns).
+    The key is {!Provenance.point_hash} under the default heuristic
+    backend; any other backend mixes its name into the key, so a store
+    shared across backends never answers a point with another
+    backend's schedule.  (Entries an older build wrote under a
+    non-default backend carry the bare point hash and are
+    indistinguishable from heuristic ones; such a store must be
+    deleted or rebuilt.)  Store hits become ordinary cache entries: they
+    are not emitted as provenance records (they are not decisions of
+    this run), and they are not re-verified under {!set_verify} (the
+    entry was verified, if at all, by the run that evaluated it).
+    Quarantined points are never stored; a later run retries them. *)
 
 val attach_store : string -> Store.recovery
 (** Open (creating if absent) a store directory, recover its segments,

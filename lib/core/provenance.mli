@@ -6,9 +6,9 @@
     pipelined or fallback) and {e how} (which backend, how the exact
     lane fared, whether the oracles checked it, whether it was
     quarantined and under what exception).  Records carry the content
-    hash of the point's full input — the identity ROADMAP item 1's
-    persistent result store will key on — and are written as a
-    checksummed {!Wr_obs.Ledger} file.
+    hash of the point's full input — the identity the persistent
+    result store ({!Store}) keys on — and are written as a checksummed
+    {!Wr_obs.Ledger} file.
 
     {2 Determinism}
 
@@ -17,12 +17,12 @@
     sorted by (suite, index, config, registers, cycle model) when the
     run ends.  Two fields can break byte-identity and are therefore
     off by default: wall time (opt in with [WR_LEDGER_WALL=1] or
-    [--ledger-wall]; the field is absent otherwise) and any
-    non-default backend whose budget expiry depends on the wall clock
-    (the [exact]/[portfolio] statuses are documented as
-    best-effort).  A journal-resumed run re-emits records only for the
-    points it actually evaluated — replayed points are cache entries,
-    not decisions of this run. *)
+    [--ledger-wall]; the field is absent otherwise) and the
+    non-default [exact] backend, whose budget expiry depends on the
+    wall clock (its statuses are documented as best-effort).  A run
+    resumed from a store emits records only for the points it actually
+    evaluated — store hits are cache entries, not decisions of this
+    run. *)
 
 type exact = {
   solves : int;

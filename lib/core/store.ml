@@ -43,10 +43,6 @@ let batch_records = 64
 
 let default_segment_records = 4096
 
-(* Same FNV-1a as the journal: every record line is self-checking and
-   the format needs no checksum library. *)
-let fnv1a64 = Journal.fnv1a64
-
 let line_of_entry e =
   let payload =
     Printf.sprintf "e %Lx %d %Lx %d %d %d %d %d %d %d" e.hash e.ii e.cycles_bits
@@ -54,13 +50,13 @@ let line_of_entry e =
       (if e.pipelined then 1 else 0)
       e.mii e.trip_count
   in
-  Printf.sprintf "%s %Lx\n" payload (fnv1a64 payload)
+  Printf.sprintf "%s %Lx\n" payload (Wr_obs.Ledger.fnv1a64 payload)
 
 let entry_of_line line =
   match String.split_on_char ' ' line with
   | [ "e"; hash; ii; bits; required; stores; loads; rounds; pipelined; mii; trip; crc ] -> (
       let payload = String.sub line 0 (String.length line - String.length crc - 1) in
-      if not (String.equal (Printf.sprintf "%Lx" (fnv1a64 payload)) crc) then None
+      if not (String.equal (Printf.sprintf "%Lx" (Wr_obs.Ledger.fnv1a64 payload)) crc) then None
       else
         try
           let int s = int_of_string s in

@@ -1,22 +1,22 @@
 (** Persistent content-addressed result store: the crash-safe cache
-    behind warm-started studies and the query service.
+    behind resumed and warm-started studies and the query service.
 
-    Where {!Journal} checkpoints {e one run} (records keyed by the memo
-    coordinates, replayed wholesale on resume), the store is a
-    {e cross-run} cache keyed by {!Provenance.point_hash} — the FNV-1a
-    content hash of a point's full input.  Any process pointed at the
-    same directory ([--store], or the daemon's store) answers a point it
-    has seen before without re-running the scheduler, whether the
-    earlier writer was a batch sweep, a CLI run, or a server that was
-    [kill -9]ed mid-stream.
+    Entries are keyed by {!Provenance.point_hash} — the FNV-1a content
+    hash of a point's full input — with the scheduler backend mixed in
+    for non-default backends ({!Evaluate.attach_store}).  Any process
+    pointed at the same directory ([--store], or the daemon's store)
+    answers a point it has seen before without re-running the
+    scheduler, whether the earlier writer was a batch sweep, a CLI
+    run, or a process that was [kill -9]ed mid-stream — so re-running
+    an interrupted sweep on its store is how it resumes.
 
     {2 On-disk format}
 
     A store is a directory of append-only segments
     ([seg-NNNNNN.wrs]) plus a single-writer pid lockfile ([LOCK], see
     {!Wr_util.Lockfile}).  Each segment begins with the version header
-    [wrstore/1] followed by one self-checking text line per entry (the
-    journal's FNV-1a line discipline); segments rotate after
+    [wrstore/1] followed by one self-checking text line per entry
+    (payload plus its FNV-1a checksum); segments rotate after
     [segment_records] entries so damage is compartmentalized.
 
     {2 Recovery}
@@ -41,13 +41,17 @@
 
     {2 Collisions}
 
-    Two distinct points with equal 64-bit hashes would alias; with
-    FNV-1a 64 over the canonical point rendering the chance is
-    negligible at any realistic store size, and the journal — keyed by
-    coordinates, not content — remains the exact-resume mechanism. *)
+    Two distinct points with equal 64-bit hashes would alias: one
+    would be answered with the other's result.  With FNV-1a 64 over
+    the canonical point rendering the chance is negligible at any
+    realistic store size (about 6e-11 for the ~45k points of a
+    full-suite fig3 sweep, by the birthday bound). *)
 
 type entry = {
-  hash : int64;  (** {!Provenance.point_hash} of the point's full input *)
+  hash : int64;
+      (** The store key: {!Provenance.point_hash} of the point's full
+          input under the heuristic backend, with the backend name mixed
+          in under any other ({!Evaluate.attach_store}) *)
   ii : int;
   cycles_bits : int64;  (** [Int64.bits_of_float] of the weighted cycles *)
   required_regs : int;
@@ -87,8 +91,8 @@ val find : t -> int64 -> entry option
 
 val add : t -> entry -> unit
 (** Append one entry; a hash already present is ignored (first wins).
-    Buffered and fsynced in batches like the journal.  Thread-safe;
-    raises [Invalid_argument] if the store is closed. *)
+    Buffered, and fsynced every 64 entries or on {!flush}/{!close}.
+    Thread-safe; raises [Invalid_argument] if the store is closed. *)
 
 val length : t -> int
 (** Distinct entries currently held (loaded + appended). *)

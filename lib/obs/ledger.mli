@@ -8,8 +8,8 @@
 
     The checksum covers exactly the payload substring, so every line is
     both strict JSON (tools can [jq '.p'] a ledger directly) and
-    independently verifiable — the same line discipline [Core.Journal]
-    uses for its checkpoint files, minus the truncation-on-corruption
+    independently verifiable — the same line discipline [Core.Store]
+    uses for its segments, minus the truncation-on-corruption
     recovery: a ledger is written whole at the end of a run, never
     appended to across crashes, so any bad line is a hard error rather
     than a torn tail.
@@ -21,8 +21,9 @@
     yields a byte-identical file. *)
 
 val fnv1a64 : string -> int64
-(** FNV-1a 64-bit hash of a string (same function as
-    [Core.Journal]'s line checksums). *)
+(** FNV-1a 64-bit hash of a string: the one copy in the tree.  It
+    also computes [Core.Provenance.point_hash], [Core.Store]'s line
+    checksums and [Wr_util.Fault]'s per-point stream seeds. *)
 
 val hex64 : int64 -> string
 (** 16 lowercase hex digits, zero-padded. *)
@@ -39,6 +40,6 @@ val write : path:string -> header:string -> records:string list -> unit
 val load : string -> (string * string list, string) result
 (** Read a ledger file back, verifying every line's shape and
     checksum.  Returns [(header_payload, record_payloads)] or a
-    message naming the first offending line.  Unlike journal recovery,
+    message naming the first offending line.  Unlike store recovery,
     corruption anywhere is an error: ledgers are immutable run
     artifacts, so a bad byte means the artifact is untrustworthy. *)

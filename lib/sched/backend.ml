@@ -1,24 +1,17 @@
 module Resource = Wr_machine.Resource
 module Cycle_model = Wr_machine.Cycle_model
 module Ddg = Wr_ir.Ddg
-module Pool = Wr_util.Pool
 module Env = Wr_util.Env
 
-type kind = Heuristic | Exact | Portfolio
+type kind = Heuristic | Exact
 
-let to_string = function
-  | Heuristic -> "heuristic"
-  | Exact -> "exact"
-  | Portfolio -> "portfolio"
+let to_string = function Heuristic -> "heuristic" | Exact -> "exact"
 
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "heuristic" | "hrms" -> Some Heuristic
   | "exact" | "bnb" -> Some Exact
-  | "portfolio" | "race" -> Some Portfolio
   | _ -> None
-
-let all = [ Heuristic; Exact; Portfolio ]
 
 (* Selection is process-global (studies fan points out over the pool;
    a per-call parameter would have to thread through every driver) and
@@ -32,7 +25,7 @@ let current_kind : kind Atomic.t =
         | Some k -> k
         | None ->
             Env.warn_invalid ~name:"WR_SCHED_BACKEND" ~value:s
-              ~expected:"heuristic|exact|portfolio" ~default:"heuristic";
+              ~expected:"heuristic|exact" ~default:"heuristic";
             Heuristic)
   in
   Atomic.make initial
@@ -68,9 +61,8 @@ let empty_tally () =
 (* The tally is domain-local (a point's whole pipeline — probes,
    escalation, spill rescheduling — runs on one domain), with a
    process-wide active count so the disabled mode pays one atomic load
-   per [run].  Save/restore makes nesting safe: a domain that
-   work-helps another point's task mid-portfolio records into that
-   task's own tally and then comes back. *)
+   per [run].  Save/restore makes nesting safe: an inner tally never
+   leaks into the enclosing one. *)
 let active_tallies = Atomic.make 0
 
 let tally_slot : tally option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
@@ -139,32 +131,3 @@ let run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii ?ordering g =
           note_sched t base;
           note_exact t e);
       refined e
-  | Portfolio ->
-      (* Race both lanes on the pool: the heuristic answers fast, the
-         exact lane refines or confirms when it finishes inside its
-         budget.  The merge is value-deterministic — the exact result
-         is taken only when it strictly beats the heuristic II, and
-         ties keep the heuristic schedule. *)
-      let lanes =
-        Pool.parallel_list_map [ `H; `E ] ~f:(fun lane ->
-            match lane with
-            | `H ->
-                `H (Modulo.run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii ?ordering g)
-            | `E ->
-                `E
-                  (Exact.solve resource ~cycle_model ~max_nodes:exact_max_nodes
-                     ~budget_ms:exact_budget_ms ?min_ii ?max_ii g))
-      in
-      let heur = List.find_map (function `H r -> Some r | _ -> None) lanes in
-      let exact = List.find_map (function `E r -> Some r | _ -> None) lanes in
-      let heur = Option.get heur and exact = Option.get exact in
-      (* Lanes ran on pool domains; the tally is noted here on the
-         calling domain, where the point's tally slot lives. *)
-      note (fun t ->
-          note_sched t heur;
-          note_exact t exact);
-      if
-        exact.Exact.status <> Exact.Fallback
-        && exact.Exact.schedule.Schedule.ii < heur.Modulo.schedule.Schedule.ii
-      then { heur with Modulo.schedule = exact.Exact.schedule }
-      else heur

@@ -12,24 +12,19 @@
        byte-identical to the pre-seam pipeline;}
     {- [Exact] — heuristic first, then {!Exact.solve} refines it or
        proves it optimal within a node + wall budget, falling back to
-       the heuristic result on expiry;}
-    {- [Portfolio] — both lanes race on {!Wr_util.Pool}; the exact
-       result wins only when it strictly beats the heuristic II.}}
+       the heuristic result on expiry.}}
 
     Selection: {!set} (wired to [--backend] in the CLIs) or the
-    [WR_SCHED_BACKEND] environment variable
-    ([heuristic|exact|portfolio], malformed values warn once and keep
-    the default). *)
+    [WR_SCHED_BACKEND] environment variable ([heuristic|exact],
+    malformed values warn once and keep the default). *)
 
-type kind = Heuristic | Exact | Portfolio
+type kind = Heuristic | Exact
 
 val to_string : kind -> string
 
 val of_string : string -> kind option
-(** Accepts the canonical names plus the [hrms]/[bnb]/[race] aliases,
+(** Accepts the canonical names plus the [hrms]/[bnb] aliases,
     case-insensitively. *)
-
-val all : kind list
 
 val set : kind -> unit
 val current : unit -> kind
@@ -45,7 +40,7 @@ val current : unit -> kind
     and the disabled mode costs {!run} one atomic load. *)
 
 type tally = {
-  mutable runs : int;  (** {!run} calls (heuristic or portfolio-merged) *)
+  mutable runs : int;  (** {!run} calls *)
   mutable evictions : int;  (** scheduler evictions summed over runs *)
   mutable solves : int;  (** exact-lane solves *)
   mutable proved : int;  (** ... that proved the heuristic optimal *)
@@ -61,9 +56,7 @@ val empty_tally : unit -> tally
 val with_tally : (unit -> 'a) -> 'a * tally
 (** [with_tally f] runs [f] with a fresh tally installed on the
     calling domain and returns [f]'s result alongside the filled
-    tally.  Portfolio lanes run on pool domains, but their outcome is
-    noted on the calling domain after the merge, so the tally is
-    complete when [f] returns. *)
+    tally. *)
 
 val run :
   Wr_machine.Resource.t ->

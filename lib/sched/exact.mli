@@ -64,8 +64,8 @@ val min_ii :
   (int * Schedule.t) option
 (** Smallest II (starting at the MII) at which {!at_ii} finds a
     schedule; [None] if every attempt up to a generous bound gave
-    up.  From-scratch search, no heuristic involved — the shape the
-    portfolio races against the heuristic. *)
+    up.  From-scratch search, no heuristic involved: the tests use it
+    to cross-check the heuristic's II on small loops. *)
 
 val solve :
   Wr_machine.Resource.t ->

@@ -74,13 +74,6 @@ let injected () = Atomic.get injected_count
 
 (* --- deterministic per-context streams -------------------------------- *)
 
-let fnv1a64 s =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-    s;
-  !h
-
 type context = { ctx_hash : int64; streams : (string, Rng.t) Hashtbl.t }
 
 let context_key : context option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
@@ -88,7 +81,7 @@ let context_key : context option ref Domain.DLS.key = Domain.DLS.new_key (fun ()
 let with_context key f =
   let slot = Domain.DLS.get context_key in
   let saved = !slot in
-  slot := Some { ctx_hash = fnv1a64 key; streams = Hashtbl.create 4 };
+  slot := Some { ctx_hash = Wr_obs.Ledger.fnv1a64 key; streams = Hashtbl.create 4 };
   Fun.protect ~finally:(fun () -> slot := saved) f
 
 (* Spin rather than sleep: the point of a delay fault is to burn the
@@ -125,7 +118,7 @@ let hit site =
                         Int64.add sp.seed
                           (Int64.add
                              (Int64.mul ctx.ctx_hash 0x9E3779B97F4A7C15L)
-                             (fnv1a64 site))
+                             (Wr_obs.Ledger.fnv1a64 site))
                       in
                       let r = Rng.create ~seed in
                       Hashtbl.add ctx.streams site r;

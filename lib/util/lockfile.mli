@@ -1,4 +1,4 @@
-(** Single-writer pid lockfiles for on-disk state (journals, stores).
+(** Single-writer pid lockfiles for on-disk state (the result store).
 
     A lock is a small file created with [O_CREAT | O_EXCL] holding the
     owner's pid.  Creation is atomic, so exactly one process can hold a
@@ -8,8 +8,8 @@
     {2 Stale locks}
 
     A process killed with [SIGKILL] cannot release its lock, and a
-    crash-then-restart workflow (the whole point of the journal and the
-    store) must not wedge on the corpse.  [acquire] therefore reads the
+    crash-then-restart workflow (the whole point of the store) must not
+    wedge on the corpse.  [acquire] therefore reads the
     recorded pid and breaks the lock when that process no longer exists
     ([kill pid 0] raising [ESRCH]); an unreadable or garbled pid — a
     crash between creating the file and writing it — is treated as

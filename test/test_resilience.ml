@@ -1,11 +1,10 @@
 (* Resilience layer: supervised evaluation (quarantine + degraded
    fallback), deterministic fault injection, cooperative budgets, and
-   the journaled checkpoint/resume path. *)
+   the crash-safe result store that resumes interrupted runs. *)
 
 module Config = Wr_machine.Config
 module Cycle_model = Wr_machine.Cycle_model
 module Evaluate = Core.Evaluate
-module Journal = Core.Journal
 module Store = Core.Store
 module Fault = Wr_util.Fault
 module Pool = Wr_util.Pool
@@ -22,7 +21,6 @@ let fresh () =
   Fault.configure [];
   Evaluate.set_strict false;
   Evaluate.set_loop_budget_ms None;
-  Evaluate.detach_journal ();
   Evaluate.detach_store ();
   Evaluate.reset_quarantine ();
   Evaluate.clear_cache ()
@@ -120,94 +118,6 @@ let contains hay needle =
   nn = 0 || go 0
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-let with_tmp_journal f =
-  let path = Filename.temp_file "wrj-test" ".journal" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
-let test_journal_roundtrip () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  with_pool 2 @@ fun pool ->
-  let replayed0 = Evaluate.attach_journal path in
-  Alcotest.(check int) "fresh journal replays nothing" 0 replayed0;
-  let agg1 = Evaluate.suite_on ~pool ~suite_id:"res-journal" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  let evals = Evaluate.evaluations () in
-  (* Cold cache + journal: every point must come back from the replay,
-     with the scheduler never invoked. *)
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Alcotest.(check int) "all points replayed" (Array.length loops) replayed;
-  let agg2 = Evaluate.suite_on ~pool ~suite_id:"res-journal" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "no re-evaluation after replay" evals (Evaluate.evaluations ());
-  Alcotest.(check bool) "bit-identical aggregate from replay" true (agg1 = agg2)
-
-let test_journal_torn_tail () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  with_pool 2 @@ fun pool ->
-  ignore (Evaluate.attach_journal path);
-  let agg1 = Evaluate.suite_on ~pool ~suite_id:"res-torn" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  let intact = read_file path in
-  (* Simulate a crash mid-write: chop the last record in half.  Replay
-     must keep the intact prefix, drop the torn line, and recompute
-     exactly the lost point. *)
-  write_file path (String.sub intact 0 (String.length intact - 7));
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Alcotest.(check int) "one record lost to the torn tail" (Array.length loops - 1) replayed;
-  let agg2 = Evaluate.suite_on ~pool ~suite_id:"res-torn" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  Alcotest.(check bool) "resumed run matches the uninterrupted one" true (agg1 = agg2);
-  (* Garbage appended by a corrupt writer is likewise discarded. *)
-  let healthy = read_file path in
-  write_file path (healthy ^ "wrj1 not a real record\n\x00\x01partial");
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "garbage tail discarded" (Array.length loops) replayed
-
-let test_quarantined_points_not_journaled () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  with_pool 2 @@ fun pool ->
-  Fault.configure [ raise_all_spec ];
-  ignore (Evaluate.attach_journal path);
-  ignore (Evaluate.suite_on ~pool ~suite_id:"res-q-journal" cfg ~cycle_model:cm ~registers:64 loops);
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "faulted run quarantined everything" (Array.length loops)
-    (Evaluate.quarantined_count ());
-  (* Resume without the fault: the degraded points were not journaled,
-     so they are retried and now succeed. *)
-  Fault.configure [];
-  Evaluate.reset_quarantine ();
-  Evaluate.clear_cache ();
-  let replayed = Evaluate.attach_journal path in
-  Alcotest.(check int) "degraded points were not checkpointed" 0 replayed;
-  let agg = Evaluate.suite_on ~pool ~suite_id:"res-q-journal" cfg ~cycle_model:cm ~registers:64 loops in
-  Evaluate.detach_journal ();
-  Alcotest.(check int) "retried points now pipeline" 0 agg.Evaluate.unpipelined
-
-let test_journal_second_attach_locked () =
-  with_clean_state @@ fun () ->
-  with_tmp_journal @@ fun path ->
-  ignore (Evaluate.attach_journal path);
-  (* A second writer would interleave appends and corrupt the record
-     stream silently; the lockfile turns it into a diagnostic.  A raw
-     second handle in this process stands in for the second process. *)
-  (match Journal.open_for_resume path with
-  | exception Journal.Locked msg ->
-      Alcotest.(check bool) "diagnostic names the journal" true (contains msg path)
-  | t, _ ->
-      Journal.close t;
-      Alcotest.fail "second attach succeeded");
-  Evaluate.detach_journal ();
-  (* Released on detach: attaching again works. *)
-  ignore (Evaluate.attach_journal path);
-  Evaluate.detach_journal ()
 
 (* --- persistent content-addressed store -------------------------------- *)
 
@@ -419,6 +329,29 @@ let test_store_warm_start_zero_evaluations () =
   let s = Evaluate.cache_stats `Store in
   Alcotest.(check int) "every point a store hit" (Array.length loops) s.Evaluate.hits
 
+let test_store_torn_tail_reevaluates_one_point () =
+  with_clean_state @@ fun () ->
+  with_tmp_dir @@ fun root ->
+  let dir = Filename.concat root "store" in
+  with_pool 2 @@ fun pool ->
+  ignore (Evaluate.attach_store dir);
+  let agg1 = Evaluate.suite_on ~pool ~suite_id:"res-torn" cfg ~cycle_model:cm ~registers:64 loops in
+  Evaluate.detach_store ();
+  (* Simulate a crash mid-write: chop the newest record in half.  The
+     resumed run must keep the intact prefix and recompute exactly the
+     lost point. *)
+  let newest = seg dir 1 in
+  let bytes = read_file newest in
+  write_file newest (String.sub bytes 0 (String.length bytes - 7));
+  Evaluate.clear_cache ();
+  let r = Evaluate.attach_store dir in
+  Alcotest.(check int) "one record lost to the torn tail" (Array.length loops - 1) r.Store.entries;
+  let evals = Evaluate.evaluations () in
+  let agg2 = Evaluate.suite_on ~pool ~suite_id:"res-torn" cfg ~cycle_model:cm ~registers:64 loops in
+  Evaluate.detach_store ();
+  Alcotest.(check int) "exactly one fresh evaluation" (evals + 1) (Evaluate.evaluations ());
+  Alcotest.(check bool) "resumed run matches the uninterrupted one" true (agg1 = agg2)
+
 let test_store_quarantined_points_not_stored () =
   with_clean_state @@ fun () ->
   with_tmp_dir @@ fun root ->
@@ -443,6 +376,41 @@ let test_store_quarantined_points_not_stored () =
   let r = Evaluate.attach_store dir in
   Alcotest.(check int) "healthy results persisted" (Array.length loops) r.Store.entries;
   Evaluate.detach_store ()
+
+let test_store_keyed_by_backend () =
+  with_clean_state @@ fun () ->
+  with_tmp_dir @@ fun root ->
+  let dir = Filename.concat root "store" in
+  let saved = Wr_sched.Backend.current () in
+  Fun.protect ~finally:(fun () -> Wr_sched.Backend.set saved) @@ fun () ->
+  (* heat1d on 1w2: the exact lane proves II 34 where the heuristic
+     stops at 35, so the two backends give different results. *)
+  let loop = Wr_workload.Stencil.heat1d () in
+  let cfg = Config.xwy ~registers:128 ~x:1 ~y:2 () in
+  let eval () =
+    Evaluate.loop_cached ~suite_id:"res-backend" ~index:0 cfg ~cycle_model:cm ~registers:128 loop
+  in
+  Wr_sched.Backend.set Wr_sched.Backend.Heuristic;
+  let heuristic = Evaluate.loop_on cfg ~cycle_model:cm ~registers:128 loop in
+  Wr_sched.Backend.set Wr_sched.Backend.Exact;
+  ignore (Evaluate.attach_store dir);
+  let exact = eval () in
+  Evaluate.detach_store ();
+  Alcotest.(check bool) "exact lane improves the point" true
+    (exact.Evaluate.ii < heuristic.Evaluate.ii);
+  (* A heuristic run on the same store must not be answered with the
+     exact schedule: the point misses and is evaluated afresh. *)
+  Wr_sched.Backend.set Wr_sched.Backend.Heuristic;
+  Evaluate.clear_cache ();
+  ignore (Evaluate.attach_store dir);
+  let evals = Evaluate.evaluations () in
+  let r = eval () in
+  let s = Evaluate.cache_stats `Store in
+  Evaluate.detach_store ();
+  Alcotest.(check int) "no store hit across backends" 0 s.Evaluate.hits;
+  Alcotest.(check int) "one store miss" 1 s.Evaluate.misses;
+  Alcotest.(check int) "evaluated afresh" (evals + 1) (Evaluate.evaluations ());
+  Alcotest.(check int) "heuristic II returned" heuristic.Evaluate.ii r.Evaluate.ii
 
 let test_store_jobs_independent_canonical_bytes () =
   with_clean_state @@ fun () ->
@@ -498,15 +466,6 @@ let () =
           Alcotest.test_case "strict mode fails fast" `Quick test_strict_mode_fails_fast;
           Alcotest.test_case "budget overrun degrades" `Quick test_budget_overrun_degrades;
         ] );
-      ( "journal",
-        [
-          Alcotest.test_case "roundtrip replay" `Quick test_journal_roundtrip;
-          Alcotest.test_case "torn tail tolerated" `Quick test_journal_torn_tail;
-          Alcotest.test_case "quarantined points retried on resume" `Quick
-            test_quarantined_points_not_journaled;
-          Alcotest.test_case "second attach fails loudly" `Quick
-            test_journal_second_attach_locked;
-        ] );
       ( "store",
         [
           Alcotest.test_case "roundtrip across segments" `Quick test_store_roundtrip;
@@ -522,8 +481,12 @@ let () =
             test_store_compact_canonical_bytes;
           Alcotest.test_case "warm start re-evaluates nothing" `Quick
             test_store_warm_start_zero_evaluations;
+          Alcotest.test_case "torn tail re-evaluates one point" `Quick
+            test_store_torn_tail_reevaluates_one_point;
           Alcotest.test_case "quarantined points not persisted" `Quick
             test_store_quarantined_points_not_stored;
+          Alcotest.test_case "keyed by scheduler backend" `Quick
+            test_store_keyed_by_backend;
           Alcotest.test_case "canonical bytes independent of jobs" `Quick
             test_store_jobs_independent_canonical_bytes;
         ] );

@@ -309,19 +309,19 @@ let test_sms_register_friendly () =
 
 (* --- exhaustive search cross-check ------------------------------------------ *)
 
-module Search = Wr_sched.Search
+module Exact = Wr_sched.Exact
 
 let test_search_kernels_at_mii () =
-  (* The backtracking search confirms the kernels are schedulable at
-     the MII — so when the heuristic reports II = MII it is optimal. *)
+  (* The exact search confirms the kernels are schedulable at the MII —
+     so when the heuristic reports II = MII it is optimal. *)
   List.iter
     (fun (name, loop) ->
       let g = loop.Loop.ddg in
       let mii = Mii.mii resource_1w1 ~cycle_model:cm g in
-      match Search.at_ii resource_1w1 ~cycle_model:cm ~ii:mii g with
-      | Search.Feasible _ -> ()
-      | Search.Infeasible -> Alcotest.fail (name ^ ": MII infeasible?")
-      | Search.Gave_up -> Alcotest.fail (name ^ ": search budget too small"))
+      match Exact.at_ii resource_1w1 ~cycle_model:cm ~ii:mii g with
+      | Exact.Feasible _ -> ()
+      | Exact.Infeasible -> Alcotest.fail (name ^ ": MII infeasible?")
+      | Exact.Gave_up -> Alcotest.fail (name ^ ": search budget too small"))
     (K.all ())
 
 let test_search_agrees_with_heuristic () =
@@ -334,7 +334,7 @@ let test_search_agrees_with_heuristic () =
     if Ddg.num_ops loop.Loop.ddg <= 14 then begin
       incr checked;
       let g = loop.Loop.ddg in
-      match Search.min_ii resource_1w1 ~cycle_model:cm g with
+      match Exact.min_ii resource_1w1 ~cycle_model:cm g with
       | None -> ()
       | Some (best_ii, _) ->
           let r = Modulo.run resource_1w1 ~cycle_model:cm g in
@@ -351,14 +351,13 @@ let test_search_detects_infeasible () =
   (* daxpy needs 3 bus slots per iteration: II=2 on one bus is
      impossible, and the search must prove it. *)
   let loop = K.daxpy () in
-  match Search.at_ii resource_1w1 ~cycle_model:cm ~ii:2 loop.Loop.ddg with
-  | Search.Infeasible -> ()
-  | Search.Feasible _ -> Alcotest.fail "II=2 cannot fit 3 memory ops on one bus"
-  | Search.Gave_up -> Alcotest.fail "budget too small for a 5-op loop"
+  match Exact.at_ii resource_1w1 ~cycle_model:cm ~ii:2 loop.Loop.ddg with
+  | Exact.Infeasible -> ()
+  | Exact.Feasible _ -> Alcotest.fail "II=2 cannot fit 3 memory ops on one bus"
+  | Exact.Gave_up -> Alcotest.fail "budget too small for a 5-op loop"
 
 (* --- exact backend -------------------------------------------------------- *)
 
-module Exact = Wr_sched.Exact
 module Backend = Wr_sched.Backend
 
 let test_exact_refines_kernels () =
@@ -446,12 +445,11 @@ let test_backend_of_string () =
   Alcotest.(check bool) "exact" true (Backend.of_string "exact" = Some Backend.Exact);
   Alcotest.(check bool) "bnb alias" true (Backend.of_string "BnB" = Some Backend.Exact);
   Alcotest.(check bool) "hrms alias" true (Backend.of_string "hrms" = Some Backend.Heuristic);
-  Alcotest.(check bool) "race alias" true (Backend.of_string "race" = Some Backend.Portfolio);
   Alcotest.(check bool) "junk rejected" true (Backend.of_string "simulated-annealing" = None)
 
 let test_backend_run_matches_modulo () =
-  (* The heuristic backend is the byte-identical default; the exact and
-     portfolio backends must never be slower than it. *)
+  (* The heuristic backend is the byte-identical default; the exact
+     backend must never be slower than it. *)
   let saved = Backend.current () in
   Fun.protect
     ~finally:(fun () -> Backend.set saved)
@@ -472,13 +470,7 @@ let test_backend_run_matches_modulo () =
           Alcotest.(check bool)
             (name ^ ": exact backend no slower")
             true
-            (e.Modulo.schedule.Schedule.ii <= reference.Modulo.schedule.Schedule.ii);
-          Backend.set Backend.Portfolio;
-          let p = Backend.run resource_1w1 ~cycle_model:cm g in
-          Alcotest.(check bool)
-            (name ^ ": portfolio no slower")
-            true
-            (p.Modulo.schedule.Schedule.ii <= reference.Modulo.schedule.Schedule.ii))
+            (e.Modulo.schedule.Schedule.ii <= reference.Modulo.schedule.Schedule.ii))
         (K.all ()))
 
 (* --- drain/fill and diagnostic regressions -------------------------------- *)

@@ -21,7 +21,6 @@ let clean () =
   Fault.configure [];
   Evaluate.set_strict false;
   Evaluate.set_loop_budget_ms None;
-  Evaluate.detach_journal ();
   Evaluate.detach_store ();
   Evaluate.reset_quarantine ();
   Evaluate.clear_cache ()
