@@ -1,21 +1,20 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   and times the computational core of each experiment with Bechamel.
+(* Benchmark harness: regenerates every table and figure of the paper,
+   with CSVs, paper notes and the study's engine checks.
 
    Usage:
      dune exec bench/main.exe                 -- all experiments, full suite
      dune exec bench/main.exe fig3            -- one experiment
      dune exec bench/main.exe all -s 200      -- subsampled suite (faster)
-     dune exec bench/main.exe all --no-timing -- skip the Bechamel runs
      dune exec bench/main.exe fig3 --jobs 4   -- evaluation pool of 4 domains
      dune exec bench/main.exe parspeed        -- sequential-vs-parallel wall time
-     dune exec bench/main.exe all --json BENCH.json   -- machine-readable timings *)
+     dune exec bench/main.exe report LEDGER   -- ledger dashboard (also diff, validate)
+     dune exec bench/main.exe -- --help       -- every option *)
 
-open Bechamel
-open Toolkit
-
+open Cmdliner
 module Config = Wr_machine.Config
 module Cycle_model = Wr_machine.Cycle_model
 module B = Core.Bench_schema
+module Run_options = Wr_cli.Run_options
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -31,15 +30,11 @@ let experiments =
    the OCaml runtime itself exits 2 on the latter), 3 completed with
    quarantined (degraded) points. *)
 let usage () =
-  Printf.eprintf
-    "usage: main.exe [all|%s] [-s N] [--no-timing] [--csv DIR] [--jobs N] [--json FILE] \
-     [--verify] [--strict] [--store DIR] [--loop-budget-ms N] [--cases N] [--fuzz-seed N] \
-     [--trace FILE] [--metrics FILE] [--backend heuristic|exact] [--backend-diff] \
-     [--ledger FILE] [--ledger-wall]\n\
+  prerr_string
+    "usage: main.exe [EXPERIMENT] [OPTION]...   (see main.exe --help)\n\
      \       main.exe report LEDGER\n\
      \       main.exe diff OLD NEW [--threshold PCT]\n\
-     \       main.exe validate BENCH.json...\n"
-    (String.concat "|" experiments);
+     \       main.exe validate BENCH.json...\n";
   exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -124,154 +119,86 @@ let () =
   | _ :: [ "validate" ] -> usage ()
   | _ -> ()
 
-let ( selected,
+let ( run_options,
+      selected,
       sample_size,
-      with_timing,
       csv_dir,
-      jobs_flag,
-      json_path,
       verify_flag,
-      strict_flag,
-      store_dir,
-      loop_budget_ms,
+      ledger_wall,
       fuzz_cases,
       fuzz_seed,
-      trace_path,
-      metrics_path,
-      backend_flag,
-      backend_diff,
-      ledger_path,
-      ledger_wall ) =
-  let selected = ref "all" and sample = ref None and timing = ref true in
-  let csv = ref None and jobs = ref None and json = ref None in
-  let verify = ref false and cases = ref 200 and seed = ref 0x5EEDL in
-  let strict = ref false and budget = ref None in
-  let store = ref None in
-  let trace = ref None and metrics = ref None in
-  let backend = ref None and diff = ref false in
-  let ledger = ref None and lwall = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "-s" :: n :: rest ->
-        (match int_of_string_opt n with Some v -> sample := Some v | None -> usage ());
-        parse rest
-    | "--no-timing" :: rest ->
-        timing := false;
-        parse rest
-    | "--verify" :: rest ->
-        verify := true;
-        parse rest
-    | "--strict" :: rest ->
-        strict := true;
-        parse rest
-    | "--store" :: dir :: rest ->
-        store := Some dir;
-        parse rest
-    | "--loop-budget-ms" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 1 -> budget := Some v
-        | _ -> usage ());
-        parse rest
-    | "--trace" :: path :: rest ->
-        trace := Some path;
-        parse rest
-    | "--metrics" :: path :: rest ->
-        metrics := Some path;
-        parse rest
-    | "--cases" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 1 -> cases := v
-        | _ -> usage ());
-        parse rest
-    | "--fuzz-seed" :: n :: rest ->
-        (match Int64.of_string_opt n with Some v -> seed := v | None -> usage ());
-        parse rest
-    | "--csv" :: dir :: rest ->
-        csv := Some dir;
-        parse rest
-    | "--jobs" :: n :: rest | "-j" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v when v >= 1 -> jobs := Some v
-        | _ -> usage ());
-        parse rest
-    | "--json" :: path :: rest ->
-        json := Some path;
-        parse rest
-    | "--backend" :: name :: rest ->
-        (match Wr_sched.Backend.of_string name with
-        | Some k -> backend := Some k
-        | None -> usage ());
-        parse rest
-    | "--backend-diff" :: rest ->
-        diff := true;
-        parse rest
-    | "--ledger" :: path :: rest ->
-        ledger := Some path;
-        parse rest
-    | "--ledger-wall" :: rest ->
-        lwall := true;
-        parse rest
-    | id :: rest when id = "all" || List.mem id experiments ->
-        selected := id;
-        parse rest
-    | _ -> usage ()
+      backend_diff ) =
+  let open Term.Syntax in
+  let experiment =
+    let ids = "all" :: experiments in
+    let doc = "Experiment id: " ^ String.concat ", " ids ^ "." in
+    Arg.(value & pos 0 (enum (List.map (fun x -> (x, x)) ids)) "all"
+         & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  ( !selected, !sample, !timing, !csv, !jobs, !json, !verify, !strict, !store, !budget,
-    !cases, !seed, !trace, !metrics, !backend, !diff, !ledger, !lwall )
-
-let () = Option.iter Wr_util.Pool.set_default_jobs jobs_flag
-
-let () = Option.iter Wr_sched.Backend.set backend_flag
+  let csv =
+    Arg.(value & opt (some string) None
+         & info [ "csv" ] ~docv:"DIR" ~doc:"Write each experiment's table as DIR/ID.csv.")
+  in
+  let verify =
+    Arg.(value & flag
+         & info [ "verify" ]
+             ~doc:"Re-derive every evaluated point with the independent oracles (also the \
+                   WR_VERIFY environment variable).")
+  in
+  let ledger_wall =
+    Arg.(value & flag
+         & info [ "ledger-wall" ]
+             ~doc:"Record per-point wall times in the --ledger records (breaks the ledger's \
+                   byte identity across runs).")
+  in
+  let cases =
+    Arg.(value & opt Run_options.positive 200
+         & info [ "cases" ] ~docv:"N" ~doc:"Number of fuzz cases.")
+  in
+  let seed =
+    Arg.(value & opt int64 0x5EEDL & info [ "fuzz-seed" ] ~docv:"SEED" ~doc:"Fuzz seed.")
+  in
+  let backend_diff =
+    Arg.(value & flag
+         & info [ "backend-diff" ]
+             ~doc:"With $(b,fuzz): schedule every case with both backends and compare.")
+  in
+  let term =
+    let+ opts = Run_options.term
+    and+ id = experiment
+    and+ sample = Run_options.sample
+    and+ csv = csv
+    and+ verify = verify
+    and+ wall = ledger_wall
+    and+ cases = cases
+    and+ seed = seed
+    and+ diff = backend_diff in
+    (opts, id, sample, csv, verify, wall, cases, seed, diff)
+  in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P "The ledger and artifact tools take positional files instead: $(b,report) LEDGER, \
+          $(b,diff) OLD NEW [--threshold PCT] and $(b,validate) BENCH.json...";
+    ]
+  in
+  let info = Cmd.info "main.exe" ~doc:"Regenerate the paper's tables and figures" ~man in
+  match Cmd.eval_value (Cmd.v info term) with
+  | Ok (`Ok args) -> args
+  | Ok (`Help | `Version) -> exit 0
+  | Error (`Parse | `Term) -> exit 1
+  | Error `Exn -> exit 2
 
 let () = if verify_flag then Core.Evaluate.set_verify true
 
-let () = if strict_flag then Core.Evaluate.set_strict true
-
-(* Provenance capture turns on with --ledger; wall times stay off
-   unless explicitly requested (they break ledger byte-identity). *)
-let () = if ledger_path <> None then Core.Provenance.set_capture true
-
+(* Wall times stay off unless explicitly requested (they break ledger
+   byte-identity). *)
 let () = if ledger_wall then Core.Provenance.set_wall true
 
-let () = Core.Evaluate.set_loop_budget_ms loop_budget_ms
-
-(* --store falls back to WR_STORE, mirroring the CLI. *)
-let store_dir =
-  match store_dir with
-  | Some _ as s -> s
-  | None -> ( match Sys.getenv_opt "WR_STORE" with Some "" | None -> None | s -> s)
-
-let () =
-  Option.iter
-    (fun dir ->
-      match Core.Evaluate.attach_store dir with
-      | r ->
-          Printf.printf "[store] %s: %d entries in %d segment(s)%s%s\n%!" dir
-            r.Core.Store.entries r.Core.Store.segments
-            (if r.Core.Store.quarantined_segments > 0 then
-               Printf.sprintf ", %d quarantined" r.Core.Store.quarantined_segments
-             else "")
-            (if r.Core.Store.truncated_bytes > 0 then
-               Printf.sprintf ", %d torn byte(s) truncated" r.Core.Store.truncated_bytes
-             else "")
-      | exception Core.Store.Locked msg ->
-          prerr_endline msg;
-          exit 2)
-    store_dir
-
-(* Telemetry turns on before any experiment runs: either output flag
-   requests it, and the profile mode needs it regardless. *)
-let () =
-  if trace_path <> None || metrics_path <> None || selected = "profile" then
-    Wr_obs.Obs.set_enabled true
+let () = Run_options.start ~out:stdout run_options
 
 let effective_jobs () =
-  match jobs_flag with Some j -> j | None -> Wr_util.Pool.default_jobs ()
-
-(* --json collects per-experiment wall times and Bechamel estimates so
-   the perf trajectory can be tracked across commits (BENCH_*.json). *)
-let wall_times : (string * float) list ref = ref []
+  match run_options.Run_options.jobs with Some j -> j | None -> Wr_util.Pool.default_jobs ()
 
 (* Failures detected mid-run (simulation mismatches, fuzz oracle
    violations, determinism breaks) defer the exit-2 to process end so
@@ -279,37 +206,6 @@ let wall_times : (string * float) list ref = ref []
 let deferred_failures : string list ref = ref []
 
 let defer_failure msg = deferred_failures := msg :: !deferred_failures
-
-let bechamel_estimates : (string * float) list ref = ref []
-
-let record_wall id seconds = wall_times := (id, seconds) :: !wall_times
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json path ~suite_id ~loops =
-  let entries fmt l =
-    String.concat ",\n"
-      (List.rev_map (fun (name, v) -> Printf.sprintf fmt (json_escape name) v) l)
-  in
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc
-        "{\n  \"suite\": \"%s\",\n  \"loops\": %d,\n  \"jobs\": %d,\n  \"experiments\": [\n%s\n  ],\n\
-        \  \"bechamel\": [\n%s\n  ]\n}\n"
-        (json_escape suite_id) (Array.length loops) (effective_jobs ())
-        (entries "    { \"id\": \"%s\", \"wall_s\": %.3f }" !wall_times)
-        (entries "    { \"name\": \"%s\", \"ms_per_run\": %.6f }" !bechamel_estimates));
-  Printf.printf "[json] wrote %s\n%!" path
 
 (* CSV export: one file per experiment, for downstream plotting. *)
 let write_csv name header rows =
@@ -323,14 +219,7 @@ let write_csv name header rows =
           List.iter (fun row -> output_string oc (String.concat "," row ^ "\n")) rows);
       Printf.printf "  [csv] wrote %s (%d rows)\n%!" path (List.length rows)
 
-let loops, suite_id =
-  match sample_size with
-  | None -> (Wr_workload.Suite.perfect_club_like (), "full")
-  | Some n -> (Wr_workload.Suite.sample n, Printf.sprintf "sample%d" n)
-
-(* A small fixed slice for the timing runs: big enough to exercise the
-   machinery, small enough for sub-second Bechamel quotas. *)
-let timing_loops = Wr_workload.Suite.sample 30
+let loops, suite_id = Run_options.suite sample_size
 
 let fresh_suite_id =
   let counter = ref 0 in
@@ -339,25 +228,7 @@ let fresh_suite_id =
     Printf.sprintf "bench-%d" !counter
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel                                                            *)
-
-let time_test name staged =
-  let test = Test.make ~name (Staged.stage staged) in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun key o ->
-      match Analyze.OLS.estimates o with
-      | Some (est :: _) ->
-          bechamel_estimates := (key, est /. 1e6) :: !bechamel_estimates;
-          Printf.printf "  [bechamel] %s: %.3f ms/run\n%!" key (est /. 1e6)
-      | _ -> Printf.printf "  [bechamel] %s: no estimate\n%!" key)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Experiments: printed output + timing payload                        *)
+(* Experiments                                                         *)
 
 let paper_note s = print_string ("NOTE: " ^ s ^ "\n")
 
@@ -578,7 +449,6 @@ let run_experiment id =
                     t.Core.Gap_study.rows) );
            ]);
       Printf.printf "[json] wrote %s\n%!" path;
-      record_wall "gap/study-total" wall;
       paper_note
         "Beyond the paper: branch-and-bound lower bounds on the II quantify how close the \
          HRMS-style heuristic sits to optimal on this workload."
@@ -603,10 +473,6 @@ let run_experiment id =
       let s3, s9, seq3, seq9 = timed_run 1 in
       let p3, p9, par3, par9 = timed_run par_jobs in
       Wr_util.Pool.set_default_jobs par_jobs;
-      record_wall "parspeed/fig3-jobs1" seq3;
-      record_wall (Printf.sprintf "parspeed/fig3-jobs%d" par_jobs) par3;
-      record_wall "parspeed/fig9-jobs1" seq9;
-      record_wall (Printf.sprintf "parspeed/fig9-jobs%d" par_jobs) par9;
       Printf.printf "fig3: %.2fs with 1 job, %.2fs with %d jobs -> %.2fx\n" seq3 par3 par_jobs
         (seq3 /. Stdlib.max 1e-9 par3);
       Printf.printf "fig9: %.2fs with 1 job, %.2fs with %d jobs -> %.2fx\n" seq9 par9 par_jobs
@@ -698,7 +564,6 @@ let run_experiment id =
              ("total_s", B.float ~fmt:(Printf.sprintf "%.6f") total);
            ]);
       Printf.printf "[json] wrote %s\n%!" path;
-      record_wall "schedmicro/top-loops-total" total;
       paper_note
         "Engine microbenchmark: isolates the modulo scheduler's wall time from the rest of \
          the evaluation pipeline."
@@ -828,8 +693,6 @@ let run_experiment id =
              ("speedup", B.float ~fmt:f3 speedup);
            ]);
       Printf.printf "[json] wrote %s\n%!" path;
-      record_wall "interpmicro/reference-total" ref_total;
-      record_wall "interpmicro/flat-total" flat_total;
       paper_note
         "Engine microbenchmark: isolates the functional interpreter (the oracle engine \
          behind every --verify run) from scheduling and study logic; both engines are \
@@ -999,79 +862,8 @@ let run_experiment id =
         "Engine profile: the paper's figures aggregate exactly these per-loop events \
          (II escalations, spills, retries); this table is the raw distribution."
   | _ -> usage ());
-  record_wall id (Unix.gettimeofday () -. started);
   Printf.printf "[%s generated in %.1fs]\n" id (Unix.gettimeofday () -. started);
-  print_newline ();
-  if with_timing then begin
-    (match id with
-    | "table1" | "table6" -> time_test (id ^ "/render") (fun () -> Core.Cost_tables.table1 ())
-    | "table2" ->
-        time_test "table2/cell-model" (fun () ->
-            List.iter
-              (fun ((r, w), _) -> ignore (Wr_cost.Register_cell.area ~reads:r ~writes:w))
-              Wr_cost.Register_cell.paper_table)
-    | "table3" | "fig4" ->
-        time_test "area-model/grid" (fun () ->
-            List.iter
-              (fun c -> ignore (Wr_cost.Area.total_area c))
-              (Config.paper_grid ~max_factor:16 ~registers:[ 32; 64; 128; 256 ]))
-    | "table4" ->
-        time_test "access-time/grid" (fun () ->
-            List.iter
-              (fun c -> ignore (Wr_cost.Access_time.relative c))
-              (Config.paper_grid ~max_factor:16 ~registers:[ 32; 64; 128; 256 ]))
-    | "table5" ->
-        time_test "table5/implementability" (fun () -> ignore (Core.Implementability.run ()))
-    | "fig2" ->
-        time_test "fig2/peak-rates-30-loops" (fun () ->
-            ignore (Core.Peak_study.run ~max_factor:16 timing_loops))
-    | "fig3" ->
-        time_test "fig3/pipeline-4w2-64-30-loops" (fun () ->
-            ignore
-              (Core.Evaluate.suite_on ~suite_id:(fresh_suite_id ())
-                 (Config.xwy ~registers:64 ~x:4 ~y:2 ())
-                 ~cycle_model:Cycle_model.Cycles_4 ~registers:64 timing_loops))
-    | "fig6" ->
-        time_test "fig6/partition-model" (fun () ->
-            List.iter
-              (fun n ->
-                let c = Config.xwy ~registers:64 ~partitions:n ~x:8 ~y:1 () in
-                ignore (Wr_cost.Area.rf_area c);
-                ignore (Wr_cost.Access_time.raw_time c))
-              [ 1; 2; 4; 8 ])
-    | "fig7" ->
-        time_test "fig7/code-size-30-loops" (fun () ->
-            ignore (Core.Code_size_study.run ~suite_id:(fresh_suite_id ()) timing_loops))
-    | "fig8" | "fig9" | "conclusion" ->
-        time_test (id ^ "/tradeoff-point-30-loops") (fun () ->
-            ignore
-              (Core.Tradeoff.evaluate ~suite_id:(fresh_suite_id ()) timing_loops
-                 (Config.xwy ~registers:128 ~partitions:2 ~x:2 ~y:2 ())))
-    | "endtoend" ->
-        time_test "endtoend/sim-daxpy-2w2-100-iters" (fun () ->
-            match
-              Wr_vliw.Sim.check_against_reference
-                (Wr_workload.Kernels.daxpy ())
-                (Config.xwy ~x:2 ~y:2 ())
-                ~iterations:100
-            with
-            | Ok _ -> ()
-            | Error msg -> failwith msg)
-    | "ablation-rotating" ->
-        time_test "ablation/mve-allocate-30-loops" (fun () ->
-            Array.iter
-              (fun (loop : Wr_ir.Loop.t) ->
-                let r =
-                  Wr_sched.Modulo.run
-                    (Wr_machine.Resource.of_config (Config.xwy ~x:2 ~y:1 ()))
-                    ~cycle_model:Cycle_model.Cycles_4 loop.Wr_ir.Loop.ddg
-                in
-                ignore
-                  (Wr_vliw.Codegen.allocate loop.Wr_ir.Loop.ddg r.Wr_sched.Modulo.schedule))
-              timing_loops)
-    | _ -> ());
-    print_newline ()
-  end
+  print_newline ()
 
 let () =
   Printf.printf "Widening-resources study bench harness (suite: %s, %d loops, %d jobs)\n\n%!"
@@ -1090,34 +882,7 @@ let () =
          (fun e -> e <> "parspeed" && e <> "gap" && e <> "fuzz" && e <> "profile")
          experiments)
   else run_experiment selected;
-  if Core.Evaluate.verify_enabled () then
-    Printf.printf "[verify] %d (loop, machine-point) results passed all oracles, 0 violations\n"
-      (Core.Evaluate.verified_points ());
-  Option.iter (fun path -> write_json path ~suite_id ~loops) json_path;
-  Option.iter
-    (fun path ->
-      Wr_obs.Obs.write_trace path;
-      Printf.printf "[trace] wrote %s\n%!" path)
-    trace_path;
-  Option.iter
-    (fun path ->
-      Wr_obs.Obs.write_metrics path;
-      Printf.printf "[metrics] wrote %s\n%!" path)
-    metrics_path;
-  Option.iter
-    (fun path ->
-      Core.Provenance.write path;
-      Printf.printf "[ledger] wrote %s (%d points)\n%!" path
-        (List.length (Core.Provenance.records ())))
-    ledger_path;
-  Option.iter
-    (fun dir ->
-      let s = Core.Evaluate.cache_stats `Store in
-      Printf.printf "[store] %s: %d entries, %d hits, %d misses, %d appended\n%!" dir
-        (Core.Evaluate.store_entries ()) s.Core.Evaluate.hits s.Core.Evaluate.misses
-        (Core.Evaluate.store_appended ());
-      Core.Evaluate.detach_store ())
-    store_dir;
+  Run_options.finish ~out:stdout run_options;
   (match List.rev !deferred_failures with
   | [] -> ()
   | fs ->

@@ -1,10 +1,11 @@
-(* Command-line interface to the widening-resources study.
+(* Command-line interface to the widening-resources study (the paper's
+   tables and figures are regenerated by bench/main.exe).
 
-   widening-cli experiment fig2          reproduce a figure/table
    widening-cli schedule daxpy -c 4w2(128:2)
    widening-cli configs -g 0.18          implementable configurations
    widening-cli workload                 suite statistics
-   widening-cli dot dot_product          DOT dump of a kernel *)
+   widening-cli dot dot_product          DOT dump of a kernel
+   widening-cli serve --socket PATH      design-space query daemon *)
 
 open Cmdliner
 
@@ -12,238 +13,7 @@ module Config = Wr_machine.Config
 module Cycle_model = Wr_machine.Cycle_model
 module Resource = Wr_machine.Resource
 module Loop = Wr_ir.Loop
-
-(* --store falls back to WR_STORE so a warm cache can follow a user
-   across invocations without repeating the flag. *)
-let store_or_env store =
-  match store with
-  | Some _ as s -> s
-  | None -> ( match Sys.getenv_opt "WR_STORE" with Some "" | None -> None | s -> s)
-
-let suite_of_sample sample =
-  match sample with
-  | None -> (Wr_workload.Suite.perfect_club_like (), "full")
-  | Some n -> (Wr_workload.Suite.sample n, Printf.sprintf "sample%d" n)
-
-(* --- experiment ------------------------------------------------------- *)
-
-let experiment_ids =
-  [
-    "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "fig2"; "fig3"; "fig4";
-    "fig6"; "fig7"; "fig8"; "fig9"; "conclusion"; "ablation-compact"; "ablation-levers";
-    "ablation-rotating"; "ablation-ordering"; "icache"; "traffic"; "dcache"; "balance"; "all";
-  ]
-
-let run_experiment id sample jobs trace metrics strict store budget backend ledger =
-  let store = store_or_env store in
-  Option.iter Wr_sched.Backend.set backend;
-  Option.iter Wr_util.Pool.set_default_jobs jobs;
-  if trace <> None || metrics <> None then Wr_obs.Obs.set_enabled true;
-  if ledger <> None then Core.Provenance.set_capture true;
-  if strict then Core.Evaluate.set_strict true;
-  Core.Evaluate.set_loop_budget_ms budget;
-  Option.iter
-    (fun dir ->
-      match Core.Evaluate.attach_store dir with
-      | r ->
-          Printf.eprintf "[store] %s: %d entries in %d segment(s)%s%s\n%!" dir
-            r.Core.Store.entries r.Core.Store.segments
-            (if r.Core.Store.quarantined_segments > 0 then
-               Printf.sprintf ", %d quarantined" r.Core.Store.quarantined_segments
-             else "")
-            (if r.Core.Store.truncated_bytes > 0 then
-               Printf.sprintf ", %d torn byte(s) truncated" r.Core.Store.truncated_bytes
-             else "")
-      | exception Core.Store.Locked msg ->
-          prerr_endline msg;
-          exit 2)
-    store;
-  let loops, suite_id = suite_of_sample sample in
-  let print = print_string in
-  let dispatch = function
-    | "table1" -> print (Core.Cost_tables.table1 ())
-    | "table2" -> print (Core.Cost_tables.table2 ())
-    | "table3" -> print (Core.Cost_tables.table3 ())
-    | "table4" -> print (Core.Cost_tables.table4 ())
-    | "table5" -> print (Core.Implementability.to_text (Core.Implementability.run ()))
-    | "table6" -> print (Core.Cost_tables.table6 ())
-    | "fig2" -> print (Core.Peak_study.to_text (Core.Peak_study.run loops))
-    | "fig3" -> print (Core.Spill_study.to_text (Core.Spill_study.run ~suite_id loops))
-    | "fig4" -> print (Core.Cost_tables.figure4 ())
-    | "fig6" -> print (Core.Cost_tables.figure6 ())
-    | "fig7" -> print (Core.Code_size_study.to_text (Core.Code_size_study.run ~suite_id loops))
-    | "fig8" -> print (Core.Tradeoff.figure8 ~suite_id loops)
-    | "fig9" -> print (Core.Tradeoff.figure9_text (Core.Tradeoff.figure9 ~suite_id loops))
-    | "conclusion" -> print (Core.Tradeoff.conclusion ~suite_id loops)
-    | "ablation-compact" -> print (Core.Ablation.compactability ())
-    | "ablation-levers" -> print (Core.Ablation.pressure_levers (Wr_workload.Suite.sample 150))
-    | "ablation-rotating" -> print (Core.Ablation.rotating_file (Wr_workload.Suite.sample 80))
-    | "ablation-ordering" ->
-        print (Core.Ablation.scheduler_orderings (Wr_workload.Suite.sample 150))
-    | "icache" -> print (Core.Icache_study.to_text (Core.Icache_study.run loops))
-    | "traffic" -> print (Core.Traffic_study.to_text (Core.Traffic_study.run loops))
-    | "balance" -> print (Core.Balance_study.to_text (Core.Balance_study.run loops))
-    | "dcache" ->
-        print (Core.Dcache_study.to_text (Core.Dcache_study.run (Wr_workload.Suite.sample 120)))
-    | id -> Printf.eprintf "unknown experiment %s\n" id
-  in
-  if id = "all" then
-    List.iter
-      (fun e ->
-        if e <> "all" then begin
-          dispatch e;
-          print_newline ()
-        end)
-      experiment_ids
-  else dispatch id;
-  Option.iter
-    (fun path ->
-      Wr_obs.Obs.write_trace path;
-      Printf.eprintf "[trace] wrote %s\n" path)
-    trace;
-  Option.iter
-    (fun path ->
-      Wr_obs.Obs.write_metrics path;
-      Printf.eprintf "[metrics] wrote %s\n" path)
-    metrics;
-  Option.iter
-    (fun path ->
-      Core.Provenance.write path;
-      Printf.eprintf "[ledger] wrote %s (%d points)\n" path
-        (List.length (Core.Provenance.records ())))
-    ledger;
-  Option.iter
-    (fun dir ->
-      let s = Core.Evaluate.cache_stats `Store in
-      Printf.eprintf "[store] %s: %d entries, %d hits, %d misses, %d appended\n%!" dir
-        (Core.Evaluate.store_entries ()) s.Core.Evaluate.hits s.Core.Evaluate.misses
-        (Core.Evaluate.store_appended ());
-      Core.Evaluate.detach_store ())
-    store;
-  (* Completed-with-quarantine is exit 3 (see README "Exit codes"):
-     distinct from success and from hard failure, so CI can tell a
-     degraded sweep from a crashed one. *)
-  match Core.Evaluate.quarantined () with
-  | [] -> ()
-  | qs ->
-      Printf.eprintf "\nQuarantined points (%d): degraded to the unpipelined fallback\n"
-        (List.length qs);
-      List.iter
-        (fun (q : Core.Evaluate.quarantine_record) ->
-          Printf.eprintf "  %s loop %d (%s) on %s regs=%d model=%d: %s\n"
-            q.Core.Evaluate.q_suite q.Core.Evaluate.q_index q.Core.Evaluate.q_loop
-            q.Core.Evaluate.q_config q.Core.Evaluate.q_registers
-            q.Core.Evaluate.q_cycle_model q.Core.Evaluate.q_reason)
-        qs;
-      exit 3
-
-let sample_arg =
-  let doc = "Evaluate on a deterministic N-loop subsample of the 1180-loop suite." in
-  Arg.(value & opt (some int) None & info [ "s"; "sample" ] ~docv:"N" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Size of the domain pool used for parallel evaluation (also the WR_JOBS environment \
-     variable; defaults to the number of cores).  The results are bit-identical for any \
-     value; 1 forces fully sequential evaluation."
-  in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg "JOBS must be a positive integer")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let trace_arg =
-  let doc =
-    "Enable pipeline telemetry and write a Chrome trace-event JSON file (load it in \
-     chrome://tracing or https://ui.perfetto.dev): one lane per domain, spans for every \
-     pipeline stage (widen, schedule, allocate, spill, verify, pool tasks)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Enable pipeline telemetry and write a flat JSON snapshot of every counter, histogram \
-     and span aggregate (scheduler attempts/evictions, spill rounds, cache hit rates, pool \
-     utilization)."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let strict_arg =
-  let doc =
-    "Fail fast: a loop evaluation that raises aborts the run instead of degrading the point \
-     to the unpipelined fallback (also the WR_STRICT environment variable)."
-  in
-  Arg.(value & flag & info [ "strict" ] ~doc)
-
-let budget_arg =
-  let doc =
-    "Wall-clock budget per loop evaluation in milliseconds, enforced cooperatively at \
-     scheduler and spill boundaries; an overrun degrades the point to the unpipelined \
-     fallback and quarantines it."
-  in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg "budget must be a positive integer (milliseconds)")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some positive) None & info [ "loop-budget-ms" ] ~docv:"MS" ~doc)
-
-let backend_arg =
-  let doc =
-    "Modulo-scheduler backend: $(b,heuristic) (the HRMS-style default) or $(b,exact) \
-     (branch-and-bound refinement of the heuristic schedule).  Also the WR_SCHED_BACKEND \
-     environment variable."
-  in
-  let backend_conv =
-    let parse s =
-      match Wr_sched.Backend.of_string s with
-      | Some k -> Ok k
-      | None -> Error (`Msg "BACKEND must be heuristic or exact")
-    in
-    Arg.conv
-      (parse, fun fmt k -> Format.pp_print_string fmt (Wr_sched.Backend.to_string k))
-  in
-  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~docv:"BACKEND" ~doc)
-
-let ledger_arg =
-  let doc =
-    "Record one provenance record per evaluated point (content hash, II vs MII, backend, \
-     spill traffic, oracle verdict, quarantine tag) and write them as a checksummed run \
-     ledger at FILE — the input of $(b,bench) $(b,report)/$(b,diff).  Byte-identical for \
-     any --jobs; per-point wall times are opt-in via WR_LEDGER_WALL=1."
-  in
-  Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
-
-let store_arg =
-  let doc =
-    "Consult and append to a persistent content-addressed result store at DIR: evaluation \
-     points already present (keyed by provenance hash and scheduler backend) are answered \
-     from the store without re-evaluation, and every fresh clean evaluation is appended.  \
-     Re-running an interrupted run on the same DIR resumes it, with output byte-identical \
-     to an uninterrupted run.  The store is crash-safe (checksummed append-only segments; \
-     torn tails and corrupt segments are recovered on open) and single-writer (a stale lock \
-     from a killed process is broken automatically)."
-  in
-  Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
-
-let experiment_cmd =
-  let id =
-    let doc = "Experiment id: " ^ String.concat ", " experiment_ids ^ "." in
-    Arg.(required & pos 0 (some (enum (List.map (fun x -> (x, x)) experiment_ids))) None
-         & info [] ~docv:"EXPERIMENT" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables or figures")
-    Term.(const run_experiment $ id $ sample_arg $ jobs_arg $ trace_arg $ metrics_arg
-          $ strict_arg $ store_arg $ budget_arg $ backend_arg $ ledger_arg)
+module Run_options = Wr_cli.Run_options
 
 (* --- schedule --------------------------------------------------------- *)
 
@@ -298,7 +68,7 @@ let schedule_cmd =
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Software-pipeline one kernel on a configuration")
-    Term.(const run_schedule $ kernel $ config $ verbose $ backend_arg)
+    Term.(const run_schedule $ kernel $ config $ verbose $ Run_options.backend)
 
 (* --- configs ---------------------------------------------------------- *)
 
@@ -564,12 +334,12 @@ let simulate_cmd =
 
 let workload_cmd =
   let run sample =
-    let loops, _ = suite_of_sample sample in
+    let loops, _ = Run_options.suite sample in
     print_string (Wr_workload.Suite.statistics loops)
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Print aggregate statistics of the loop suite")
-    Term.(const run $ sample_arg)
+    Term.(const run $ Run_options.sample)
 
 let dot_cmd =
   let kernel =
@@ -617,33 +387,17 @@ let endpoint_of socket port host =
       prerr_endline "one of --socket PATH or --port N is required";
       exit 1
 
-let run_serve socket port host store queue_max budget_ms jobs ledger metrics trace strict
-    loop_budget backend =
-  let store = store_or_env store in
-  Option.iter Wr_sched.Backend.set backend;
-  Option.iter Wr_util.Pool.set_default_jobs jobs;
-  if strict then Core.Evaluate.set_strict true;
-  Core.Evaluate.set_loop_budget_ms loop_budget;
+(* [Server.run] returns once every admitted request is answered, so
+   [finish] flushes the ledger and store only after the drain. *)
+let run_serve opts socket port host queue_max request_budget_ms =
   let listen = endpoint_of socket port host in
-  let cfg =
-    {
-      Wr_serve.Server.listen;
-      queue_max;
-      request_budget_ms = budget_ms;
-      store;
-      ledger;
-      metrics;
-      trace;
-    }
-  in
-  match Wr_serve.Server.run cfg with
+  Run_options.start ~out:stderr opts;
+  (match Wr_serve.Server.run { Wr_serve.Server.listen; queue_max; request_budget_ms } with
   | () -> ()
-  | exception Core.Store.Locked msg ->
-      prerr_endline msg;
-      exit 2
   | exception Unix.Unix_error (e, fn, arg) ->
       Printf.eprintf "serve: %s: %s %s\n" (Unix.error_message e) fn arg;
-      exit 2
+      exit 2);
+  Run_options.finish ~out:stderr opts
 
 let serve_cmd =
   let queue_max =
@@ -652,7 +406,7 @@ let serve_cmd =
        beyond that are shed immediately with an explicit busy reply, so memory stays \
        bounded under any offered load."
     in
-    Arg.(value & opt int Wr_serve.Server.default_queue_max
+    Arg.(value & opt Run_options.positive Wr_serve.Server.default_queue_max
          & info [ "queue-max" ] ~docv:"N" ~doc)
   in
   let budget_ms =
@@ -670,9 +424,8 @@ let serve_cmd =
              with explicit load shedding, per-request deadlines, and an optional \
              crash-safe persistent result store for zero-re-evaluation warm starts. \
              SIGTERM/SIGINT drain gracefully.")
-    Term.(const run_serve $ socket_arg $ port_arg $ host_arg $ store_arg $ queue_max
-          $ budget_ms $ jobs_arg $ ledger_arg $ metrics_arg $ trace_arg $ strict_arg
-          $ budget_arg $ backend_arg)
+    Term.(const run_serve $ Run_options.term $ socket_arg $ port_arg $ host_arg $ queue_max
+          $ budget_ms)
 
 let query_ops = [ ("point", `Point); ("suite", `Suite); ("health", `Health); ("shutdown", `Shutdown) ]
 
@@ -764,13 +517,13 @@ let query_cmd =
          & info [ "timeout-ms" ] ~docv:"MS" ~doc:"Socket connect/read timeout per attempt.")
   in
   let retries =
-    Arg.(value & opt int 5
+    Arg.(value & opt Run_options.positive 5
          & info [ "retries" ] ~docv:"N"
              ~doc:"Total attempts on busy replies or connection failures (jittered \
                    exponential backoff between them); 1 disables retrying.")
   in
   let base =
-    Arg.(value & opt int 100
+    Arg.(value & opt Run_options.positive 100
          & info [ "backoff-base-ms" ] ~docv:"MS" ~doc:"First retry delay before jitter.")
   in
   let cap =
@@ -829,7 +582,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [
-           experiment_cmd; schedule_cmd; configs_cmd; workload_cmd; dot_cmd; codegen_cmd;
+           schedule_cmd; configs_cmd; workload_cmd; dot_cmd; codegen_cmd;
            simulate_cmd; file_cmd; check_cmd; serve_cmd; query_cmd; store_cmd;
          ])
   in

@@ -1,0 +1,40 @@
+(** The run options shared by the bench harness and [widening-cli serve]:
+    one Cmdliner term for the evaluation engine's process-wide knobs,
+    and the {!start}/{!finish} pair every run wraps its work in. *)
+
+type t = {
+  jobs : int option;  (** [--jobs/-j]: evaluation pool size *)
+  store : string option;  (** [--store], else [WR_STORE]; empty means none *)
+  backend : Wr_sched.Backend.kind option;  (** [--backend] *)
+  strict : bool;  (** [--strict]: fail fast instead of quarantining *)
+  loop_budget_ms : int option;  (** [--loop-budget-ms] *)
+  ledger : string option;  (** [--ledger]: provenance ledger file *)
+  trace : string option;  (** [--trace]: Chrome trace-event file *)
+  metrics : string option;  (** [--metrics]: telemetry snapshot file *)
+}
+
+val positive : int Cmdliner.Arg.conv
+(** Integers [>= 1]; anything else is a usage error. *)
+
+val term : t Cmdliner.Term.t
+
+val backend : Wr_sched.Backend.kind option Cmdliner.Term.t
+(** [--backend] alone, for commands that take no other run option. *)
+
+val sample : int option Cmdliner.Term.t
+(** [-s/--sample N]: a deterministic N-loop subsample of the suite. *)
+
+val suite : int option -> Wr_ir.Loop.t array * string
+(** The loops {!sample} selects and their suite id ([full] or
+    [sampleN]). *)
+
+val start : out:out_channel -> t -> unit
+(** Apply the options to the process-wide settings ({!Wr_util.Pool},
+    {!Wr_sched.Backend}, {!Core.Evaluate}, {!Core.Provenance},
+    {!Wr_obs.Obs}), attach the store and print its recovery line on
+    [out].  Exits 2 when another live process holds the store. *)
+
+val finish : out:out_channel -> t -> unit
+(** Print the [[verify]] line (verified runs only), write the trace,
+    metrics and ledger files, print the store summary and detach the
+    store. *)

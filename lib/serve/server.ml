@@ -1,6 +1,5 @@
 module J = Core.Bench_schema
 module Evaluate = Core.Evaluate
-module Store = Core.Store
 module Config = Wr_machine.Config
 module Cycle_model = Wr_machine.Cycle_model
 module Loop = Wr_ir.Loop
@@ -14,10 +13,6 @@ type config = {
   listen : listen;
   queue_max : int;
   request_budget_ms : int option;
-  store : string option;
-  ledger : string option;
-  metrics : string option;
-  trace : string option;
 }
 
 let default_queue_max = 64
@@ -438,20 +433,6 @@ let run cfg =
       smutex = Mutex.create ();
     }
   in
-  (match cfg.store with
-  | None -> ()
-  | Some dir ->
-      let r = Evaluate.attach_store dir in
-      Printf.eprintf "[serve] store %s: %d entries in %d segment(s)%s%s\n%!" dir
-        r.Store.entries r.Store.segments
-        (if r.Store.quarantined_segments > 0 then
-           Printf.sprintf ", %d quarantined" r.Store.quarantined_segments
-         else "")
-        (if r.Store.truncated_bytes > 0 then
-           Printf.sprintf ", %d torn byte(s) truncated" r.Store.truncated_bytes
-         else ""));
-  if cfg.ledger <> None then Core.Provenance.set_capture true;
-  if cfg.metrics <> None || cfg.trace <> None then Obs.set_enabled true;
   let lfd = bind_listener cfg.listen in
   let drain _ = Atomic.set t.draining true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
@@ -478,31 +459,14 @@ let run cfg =
     end
   in
   accept_loop ();
-  (* Drain: stop admitting (readers now answer busy), let the
-     dispatcher finish everything admitted, then persist state. *)
+  (* Drain: stop admitting (readers now answer busy) and let the
+     dispatcher finish everything admitted. *)
   signal_dispatcher t;
   Thread.join disp;
   close_quiet lfd;
   (match cfg.listen with
   | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | `Tcp _ -> ());
-  (match cfg.ledger with
-  | None -> ()
-  | Some path ->
-      Core.Provenance.write path;
-      Printf.eprintf "[ledger] wrote %s (%d records)\n%!" path
-        (List.length (Core.Provenance.records ())));
-  Evaluate.detach_store ();
-  Option.iter
-    (fun path ->
-      Obs.write_trace path;
-      Printf.eprintf "[trace] wrote %s\n%!" path)
-    cfg.trace;
-  Option.iter
-    (fun path ->
-      Obs.write_metrics path;
-      Printf.eprintf "[metrics] wrote %s\n%!" path)
-    cfg.metrics;
   Printf.eprintf "[serve] drained: served=%d shed=%d coalesced=%d evaluations=%d quarantined=%d\n%!"
     (Atomic.get t.served) (Atomic.get t.shed) (Atomic.get t.coalesced)
     (Evaluate.evaluations ())

@@ -33,12 +33,15 @@
        handling produces an error reply on that request only.}
     {- {b Graceful drain}: SIGTERM, SIGINT, or a [shutdown] request
        stop admission (late requests get the busy reply), let in-flight
-       work finish, flush and close the store and ledger, and return.}}
+       work finish, and return — only then may the caller flush the
+       ledger and close the store.}}
 
     {2 Warm starts}
 
-    With [store] set, every clean evaluation is appended to the
-    persistent store and every miss consults it, so a server killed
+    With a store attached ({!Core.Evaluate.attach_store}, which
+    [widening-cli serve --store] does before {!run}), every clean
+    evaluation is appended to the persistent store and every miss
+    consults it, so a server killed
     with [SIGKILL] and restarted on the same directory (the stale lock
     is broken automatically) answers repeated queries byte-identically
     with zero re-evaluations; the store's recovery pass truncates any
@@ -50,10 +53,6 @@ type config = {
   listen : listen;
   queue_max : int;  (** outstanding-request bound; excess is shed *)
   request_budget_ms : int option;  (** default per-request deadline *)
-  store : string option;  (** persistent store directory *)
-  ledger : string option;  (** write a [wr-ledger/1] file on drain *)
-  metrics : string option;  (** write an Obs metrics file on drain *)
-  trace : string option;  (** write an Obs trace file on drain *)
 }
 
 val default_queue_max : int
@@ -62,6 +61,9 @@ val default_queue_max : int
 
 val run : config -> unit
 (** Bind, serve until drained (signal or [shutdown] request), then
-    clean up and return.  Prints one [[serve]] line to stderr on start
-    and one on drain.  Raises on bind/store-open failures — before any
-    request was accepted, failing loudly is the right report. *)
+    clean up and return once every admitted request is answered.
+    Serves through whatever store, ledger capture and telemetry the
+    caller set up on {!Core.Evaluate}, {!Core.Provenance} and
+    {!Wr_obs.Obs}.  Prints one [[serve]] line to stderr on start and
+    one on drain.  Raises on bind failures — before any request was
+    accepted, failing loudly is the right report. *)

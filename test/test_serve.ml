@@ -210,19 +210,12 @@ let tmp_sock () =
   Sys.remove path;
   path
 
+(* The server serves through whatever store is attached; [clean]
+   detaches it again. *)
 let start_server ?(queue_max = Server.default_queue_max) ?store () =
   let sock = tmp_sock () in
-  let cfg =
-    {
-      Server.listen = `Unix sock;
-      queue_max;
-      request_budget_ms = None;
-      store;
-      ledger = None;
-      metrics = None;
-      trace = None;
-    }
-  in
+  Option.iter (fun dir -> ignore (Evaluate.attach_store dir)) store;
+  let cfg = { Server.listen = `Unix sock; queue_max; request_budget_ms = None } in
   let th = Thread.create Server.run cfg in
   let rec wait n =
     if Sys.file_exists sock then ()
