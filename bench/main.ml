@@ -1,18 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the paper,
-   with CSVs, paper notes and the study's engine checks.
+   with CSVs, paper notes and the study's engine checks.  Speed is
+   measured by perfbench/ (see BENCHMARK.json), not here.
 
    Usage:
      dune exec bench/main.exe                 -- all experiments, full suite
      dune exec bench/main.exe fig3            -- one experiment
      dune exec bench/main.exe all -s 200      -- subsampled suite (faster)
      dune exec bench/main.exe fig3 --jobs 4   -- evaluation pool of 4 domains
-     dune exec bench/main.exe parspeed        -- sequential-vs-parallel wall time
      dune exec bench/main.exe report LEDGER   -- ledger dashboard (also diff, validate)
      dune exec bench/main.exe -- --help       -- every option *)
 
 open Cmdliner
 module Config = Wr_machine.Config
-module Cycle_model = Wr_machine.Cycle_model
 module B = Core.Bench_schema
 module Run_options = Wr_cli.Run_options
 
@@ -23,7 +22,7 @@ let experiments =
   [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "fig2"; "fig3"; "fig4";
     "fig6"; "fig7"; "fig8"; "fig9"; "conclusion"; "ablation-compact"; "ablation-levers";
     "ablation-rotating"; "ablation-ordering"; "icache"; "traffic"; "dcache"; "balance";
-    "endtoend"; "gap"; "parspeed"; "schedmicro"; "interpmicro"; "fuzz"; "profile" ]
+    "endtoend"; "gap"; "fuzz"; "profile" ]
 
 (* Exit codes (documented in the README): 0 success, 1 usage error,
    2 runtime failure (mismatch, oracle violation, uncaught exception —
@@ -46,20 +45,16 @@ let usage () =
    the wr-bench/%s envelope. *)
 
 let diff_threshold rest =
-  (* WR_DIFF_THRESHOLD sets the default; an explicit --threshold wins.
-     Both are percentages, and malformed values warn once and fall
-     back rather than silently gating on 0. *)
-  let default = Wr_util.Env.float ~min:0.0 ~default:0.0 "WR_DIFF_THRESHOLD" in
+  (* A percentage (default 0: any cycles change counts); a malformed or
+     negative value is a usage error, not a silent gate on 0. *)
   match rest with
-  | [] -> default
+  | [] -> 0.0
   | [ "--threshold"; v ] -> (
       match float_of_string_opt (String.trim v) with
       | Some t when t >= 0.0 -> t
       | _ ->
-          Wr_util.Env.warn_invalid ~name:"--threshold" ~value:v
-            ~expected:"a non-negative percentage"
-            ~default:(Printf.sprintf "%g" default);
-          default)
+          Printf.eprintf "diff: invalid --threshold %S (expected a non-negative percentage)\n" v;
+          exit 1)
   | _ -> usage ()
 
 let load_any path =
@@ -92,7 +87,7 @@ let () =
         match (load_any old_path, load_any new_path) with
         | `Ledger o, `Ledger n -> Core.Observatory.diff ~threshold_pct o n
         | `Bench o, `Bench n -> (
-            match Core.Observatory.diff_bench ~threshold_pct o n with
+            match Core.Observatory.diff_bench o n with
             | Ok ds -> ds
             | Error msg ->
                 Printf.eprintf "diff: %s\n" msg;
@@ -201,8 +196,8 @@ let effective_jobs () =
   match run_options.Run_options.jobs with Some j -> j | None -> Wr_util.Pool.default_jobs ()
 
 (* Failures detected mid-run (simulation mismatches, fuzz oracle
-   violations, determinism breaks) defer the exit-2 to process end so
-   the run's trace, metrics, and ledger still get written first. *)
+   violations) defer the exit-2 to process end so the run's trace,
+   metrics, and ledger still get written first. *)
 let deferred_failures : string list ref = ref []
 
 let defer_failure msg = deferred_failures := msg :: !deferred_failures
@@ -220,12 +215,6 @@ let write_csv name header rows =
       Printf.printf "  [csv] wrote %s (%d rows)\n%!" path (List.length rows)
 
 let loops, suite_id = Run_options.suite sample_size
-
-let fresh_suite_id =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Printf.sprintf "bench-%d" !counter
 
 (* ------------------------------------------------------------------ *)
 (* Experiments                                                         *)
@@ -452,251 +441,6 @@ let run_experiment id =
       paper_note
         "Beyond the paper: branch-and-bound lower bounds on the II quantify how close the \
          HRMS-style heuristic sits to optimal on this workload."
-  | "parspeed" ->
-      (* Sequential-vs-parallel wall time of the two heaviest
-         experiments, with an output-identity check: the speedup is
-         measured, and the determinism contract verified, on every
-         run.  Fresh suite ids + cache clears keep the memo table from
-         leaking work between the timed runs. *)
-      let par_jobs = Stdlib.max 1 (effective_jobs ()) in
-      let timed_run jobs =
-        Wr_util.Pool.set_default_jobs jobs;
-        Core.Evaluate.clear_cache ();
-        let sid = fresh_suite_id () in
-        let t0 = Unix.gettimeofday () in
-        let fig3 = Core.Spill_study.to_text (Core.Spill_study.run ~suite_id:sid loops) in
-        let t1 = Unix.gettimeofday () in
-        let fig9 = Core.Tradeoff.figure9_text (Core.Tradeoff.figure9 ~suite_id:sid loops) in
-        let t2 = Unix.gettimeofday () in
-        (fig3, fig9, t1 -. t0, t2 -. t1)
-      in
-      let s3, s9, seq3, seq9 = timed_run 1 in
-      let p3, p9, par3, par9 = timed_run par_jobs in
-      Wr_util.Pool.set_default_jobs par_jobs;
-      Printf.printf "fig3: %.2fs with 1 job, %.2fs with %d jobs -> %.2fx\n" seq3 par3 par_jobs
-        (seq3 /. Stdlib.max 1e-9 par3);
-      Printf.printf "fig9: %.2fs with 1 job, %.2fs with %d jobs -> %.2fx\n" seq9 par9 par_jobs
-        (seq9 /. Stdlib.max 1e-9 par9);
-      let identical = String.equal s3 p3 && String.equal s9 p9 in
-      Printf.printf "outputs bit-identical across pool sizes: %b\n" identical;
-      if not identical then
-        defer_failure "parspeed: sequential and parallel outputs differ!";
-      paper_note
-        (Printf.sprintf
-           "Engine check: per-loop scheduling fans out over %d domain(s) \
-            (Domain.recommended_domain_count %d on this machine); output is verified \
-            bit-identical to the sequential engine."
-           par_jobs
-           (Domain.recommended_domain_count ()))
-  | "schedmicro" ->
-      (* Scheduler microbenchmark: Modulo.run alone — no widening, no
-         register allocation, no study logic — on the suite loops that
-         make the scheduler work hardest.  A ranking pass schedules
-         every loop once at 4w2 and keeps the ~20 with the most
-         placement steps; each survivor is then timed over [reps]
-         repeated runs.  BENCH_sched.json records the per-loop wall
-         times and the total so the scheduler's perf trajectory is
-         tracked commit over commit. *)
-      let config = Config.xwy ~x:4 ~y:2 () in
-      let resource = Wr_machine.Resource.of_config config in
-      let cm = Cycle_model.Cycles_4 in
-      let top_n = 20 and reps = 10 in
-      let ranked =
-        Array.to_list
-          (Array.mapi
-             (fun i (loop : Wr_ir.Loop.t) ->
-               let prepared, _ =
-                 Wr_widen.Transform.widen loop ~width:config.Config.width
-               in
-               let ddg = prepared.Wr_ir.Loop.ddg in
-               let r = Wr_sched.Modulo.run resource ~cycle_model:cm ddg in
-               (loop.Wr_ir.Loop.name, i, ddg, r.Wr_sched.Modulo.placements))
-             loops)
-      in
-      let ranked =
-        (* Most placement steps first; ties broken by suite position so
-           the selection is deterministic. *)
-        List.sort
-          (fun (_, i, _, a) (_, j, _, b) ->
-            if a <> b then compare b a else compare i j)
-          ranked
-      in
-      let top = List.filteri (fun i _ -> i < top_n) ranked in
-      let timed =
-        List.map
-          (fun (name, index, ddg, placements) ->
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to reps do
-              ignore (Wr_sched.Modulo.run resource ~cycle_model:cm ddg)
-            done;
-            let per_run = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-            (name, index, placements, per_run))
-          top
-      in
-      let total = List.fold_left (fun acc (_, _, _, s) -> acc +. s) 0.0 timed in
-      Printf.printf "%-28s %6s %10s %12s\n" "loop" "index" "placements" "ms/run";
-      List.iter
-        (fun (name, index, placements, s) ->
-          Printf.printf "%-28s %6d %10d %12.3f\n" name index placements (s *. 1e3))
-        timed;
-      Printf.printf "total: %.3f ms over the top %d loops (%d reps each, 4w2, Cycles_4)\n"
-        (total *. 1e3) (List.length timed) reps;
-      let path = "BENCH_sched.json" in
-      B.write_file path
-        (B.envelope ~kind:"sched"
-           [
-             ("suite", B.str suite_id);
-             ("config", B.str "4w2");
-             ("cycle_model", B.int 4);
-             ("reps", B.int reps);
-             ( "loops",
-               B.List
-                 (List.map
-                    (fun (name, index, placements, s) ->
-                      B.Obj
-                        [
-                          ("name", B.str name);
-                          ("index", B.int index);
-                          ("placements", B.int placements);
-                          ("wall_s", B.float ~fmt:(Printf.sprintf "%.6f") s);
-                        ])
-                    timed) );
-             ("total_s", B.float ~fmt:(Printf.sprintf "%.6f") total);
-           ]);
-      Printf.printf "[json] wrote %s\n%!" path;
-      paper_note
-        "Engine microbenchmark: isolates the modulo scheduler's wall time from the rest of \
-         the evaluation pipeline."
-  | "interpmicro" ->
-      (* Interpreter microbenchmark: the flat kernel (compile +
-         run_plan) against the retained reference engine, loop by loop.
-         The selection is the suite loops with the most operations
-         (where the interpreter works hardest) plus the whole stencil
-         family (which exercises Fma and the in-place memory arenas).
-         Every pair of runs is first checked bit-identical, then timed;
-         BENCH_interp.json records ns/iteration and allocated bytes per
-         iteration for both engines so the interpreter's perf
-         trajectory is tracked commit over commit. *)
-      let module Interp = Wr_vliw.Interp in
-      let iterations = 1000 and reps = 25 and top_n = 12 in
-      let ranked =
-        Array.to_list
-          (Array.mapi
-             (fun i (loop : Wr_ir.Loop.t) ->
-               (loop.Wr_ir.Loop.name, i, loop, Wr_ir.Ddg.num_ops loop.Wr_ir.Loop.ddg))
-             loops)
-      in
-      let ranked =
-        (* Most operations first; ties broken by suite position so the
-           selection is deterministic. *)
-        List.sort
-          (fun (_, i, _, a) (_, j, _, b) -> if a <> b then compare b a else compare i j)
-          ranked
-      in
-      let picked =
-        List.filteri (fun i _ -> i < top_n) ranked
-        @ List.map
-            (fun (name, loop) ->
-              (name, -1, loop, Wr_ir.Ddg.num_ops loop.Wr_ir.Loop.ddg))
-            (Wr_workload.Stencil.all ())
-      in
-      (* Wall and allocation per engine run; both normalized per source
-         iteration.  Gc.allocated_bytes is monotonic and per-domain, so
-         the delta is exactly this engine's allocation. *)
-      let time_runs f =
-        let a0 = Gc.allocated_bytes () in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          ignore (f ())
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        let alloc = Gc.allocated_bytes () -. a0 in
-        let per_iter = float_of_int (reps * iterations) in
-        (wall, wall /. per_iter *. 1e9, alloc /. per_iter)
-      in
-      let timed =
-        List.map
-          (fun (name, index, loop, ops) ->
-            let c0 = Unix.gettimeofday () in
-            let plan = Interp.compile loop in
-            let compile_us = (Unix.gettimeofday () -. c0) *. 1e6 in
-            let flat = Interp.run_plan ~iterations plan in
-            let refr = Interp.run_reference ~iterations loop in
-            if
-              not
-                (Interp.equal_memory flat refr
-                && flat.Interp.loads = refr.Interp.loads
-                && flat.Interp.stores = refr.Interp.stores
-                && flat.Interp.flops = refr.Interp.flops)
-            then begin
-              Printf.eprintf "interpmicro: %s: engines disagree!\n" name;
-              exit 2
-            end;
-            let ref_wall, ref_ns, ref_alloc =
-              time_runs (fun () -> Interp.run_reference ~iterations loop)
-            in
-            let flat_wall, flat_ns, flat_alloc =
-              time_runs (fun () -> Interp.run_plan ~iterations plan)
-            in
-            (name, index, ops, compile_us, ref_wall, ref_ns, ref_alloc, flat_wall,
-             flat_ns, flat_alloc))
-          picked
-      in
-      Printf.printf "%-28s %5s %5s %12s %12s %8s %10s %10s\n" "loop" "index" "ops"
-        "ref_ns/iter" "flat_ns/iter" "speedup" "ref_B/iter" "flat_B/iter";
-      List.iter
-        (fun (name, index, ops, _, _, ref_ns, ref_alloc, _, flat_ns, flat_alloc) ->
-          Printf.printf "%-28s %5d %5d %12.1f %12.1f %7.2fx %10.1f %10.1f\n" name index
-            ops ref_ns flat_ns
-            (ref_ns /. Stdlib.max 1e-9 flat_ns)
-            ref_alloc flat_alloc)
-        timed;
-      let ref_total =
-        List.fold_left (fun acc (_, _, _, _, w, _, _, _, _, _) -> acc +. w) 0.0 timed
-      in
-      let flat_total =
-        List.fold_left (fun acc (_, _, _, _, _, _, _, w, _, _) -> acc +. w) 0.0 timed
-      in
-      let speedup = ref_total /. Stdlib.max 1e-9 flat_total in
-      Printf.printf
-        "total: reference %.3fs, flat %.3fs -> %.2fx over %d loops (%d reps x %d \
-         iterations each)\n"
-        ref_total flat_total speedup (List.length timed) reps iterations;
-      let path = "BENCH_interp.json" in
-      let f2 = Printf.sprintf "%.2f" and f3 = Printf.sprintf "%.3f" in
-      B.write_file path
-        (B.envelope ~kind:"interp"
-           [
-             ("suite", B.str suite_id);
-             ("iterations", B.int iterations);
-             ("reps", B.int reps);
-             ( "loops",
-               B.List
-                 (List.map
-                    (fun ( name, index, ops, compile_us, _, ref_ns, ref_alloc, _, flat_ns,
-                           flat_alloc ) ->
-                      B.Obj
-                        [
-                          ("name", B.str name);
-                          ("index", B.int index);
-                          ("ops", B.int ops);
-                          ("compile_us", B.float ~fmt:f2 compile_us);
-                          ("ref_ns_per_iter", B.float ~fmt:f2 ref_ns);
-                          ("flat_ns_per_iter", B.float ~fmt:f2 flat_ns);
-                          ("speedup", B.float ~fmt:f3 (ref_ns /. Stdlib.max 1e-9 flat_ns));
-                          ("ref_alloc_b_per_iter", B.float ~fmt:f2 ref_alloc);
-                          ("flat_alloc_b_per_iter", B.float ~fmt:f2 flat_alloc);
-                        ])
-                    timed) );
-             ("ref_total_s", B.float ~fmt:(Printf.sprintf "%.6f") ref_total);
-             ("flat_total_s", B.float ~fmt:(Printf.sprintf "%.6f") flat_total);
-             ("speedup", B.float ~fmt:f3 speedup);
-           ]);
-      Printf.printf "[json] wrote %s\n%!" path;
-      paper_note
-        "Engine microbenchmark: isolates the functional interpreter (the oracle engine \
-         behind every --verify run) from scheduling and study logic; both engines are \
-         checked bit-identical before timing."
   | "fuzz" when backend_diff ->
       (* Differential bug hunt: every seeded case scheduled by both the
          heuristic and the exact backend.  Bugs (oracle failures, exact
@@ -869,18 +613,13 @@ let () =
   Printf.printf "Widening-resources study bench harness (suite: %s, %d loops, %d jobs)\n\n%!"
     suite_id (Array.length loops) (effective_jobs ());
   Printf.printf "%s\n" (Wr_workload.Suite.statistics loops);
-  (* parspeed re-times fig3/fig9 at two pool sizes; keep it out of
-     "all" so the default full run isn't doubled.  Invoke explicitly. *)
-  (* parspeed, gap, fuzz and profile are explicit-only modes: the
-     first doubles the heavy figures, gap runs a branch-and-bound
-     search per point, the third is a verification pass, and the
-     fourth re-runs fig3 under tracing — none is a figure of the
-     paper. *)
+  (* gap, fuzz and profile are explicit-only modes: gap runs a
+     branch-and-bound search per point and writes BENCH_gap.json, fuzz
+     is a verification pass, and profile re-runs fig3 under tracing —
+     none is a figure of the paper. *)
   if selected = "all" then
     List.iter run_experiment
-      (List.filter
-         (fun e -> e <> "parspeed" && e <> "gap" && e <> "fuzz" && e <> "profile")
-         experiments)
+      (List.filter (fun e -> e <> "gap" && e <> "fuzz" && e <> "profile") experiments)
   else run_experiment selected;
   Run_options.finish ~out:stdout run_options;
   (match List.rev !deferred_failures with

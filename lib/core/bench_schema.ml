@@ -271,9 +271,6 @@ let envelope ~kind payload = Obj (("schema", Str version) :: ("kind", Str kind) 
 
 (* Required payload keys per kind, with a coarse type tag. *)
 let required = function
-  | "sched" -> Some [ ("suite", `Str); ("reps", `Num); ("loops", `List); ("total_s", `Num) ]
-  | "interp" ->
-      Some [ ("suite", `Str); ("iterations", `Num); ("loops", `List); ("speedup", `Num) ]
   | "gap" ->
       Some
         [

@@ -1,19 +1,18 @@
-(** The one versioned schema behind every [BENCH_*.json] artifact.
+(** The one versioned schema behind the [BENCH_*.json] artifacts.
 
-    PRs 2, 6, and 7 each grew an ad-hoc emitter ([BENCH_sched.json],
-    [BENCH_interp.json], [BENCH_gap.json]) with three incompatible
-    layouts and no way to tell a current file from a stale one.  This
-    module owns a tiny JSON value type (printer {e and} parser — the
-    repo takes no dependencies, so the grammar lives here), plus the
-    envelope every benchmark artifact now shares:
+    This module owns a tiny JSON value type (printer {e and} parser —
+    the repo takes no dependencies, so the grammar lives here), plus
+    the envelope a benchmark artifact carries:
 
-    {v {"schema": "wr-bench/2", "kind": "sched|interp|gap", ...} v}
+    {v {"schema": "wr-bench/2", "kind": "gap", ...} v}
 
-    The payload keys stay exactly what each emitter historically
-    wrote — the envelope adds [schema]/[kind] in front, so existing
-    consumers (the CI assertions, human eyeballs) keep working —
-    and {!validate} checks the per-kind required keys, which is what
-    the [bench validate] command and the CI schema step run. *)
+    [gap] ([BENCH_gap.json], the HRMS-vs-optimal study) is the one
+    kind; any other is rejected as unknown.  The envelope adds
+    [schema]/[kind] in front of the payload keys, and {!validate}
+    checks the per-kind required keys, which is what the
+    [bench validate] command and the CI schema step run.  Speed is
+    measured by [perfbench/], which reuses the JSON type for its own
+    reports. *)
 
 type json =
   | Null

@@ -386,37 +386,7 @@ let diff_gap old_j new_j =
   in
   joined @ vanished
 
-(* sched/interp rows carry wall times: noisy, so deltas are reported
-   but never gate. *)
-let diff_timing ~threshold_pct ~metric old_j new_j =
-  let old_rows = Hashtbl.create 64 in
-  List.iter
-    (fun row ->
-      match str_member "name" row with
-      | Some k when not (Hashtbl.mem old_rows k) -> Hashtbl.add old_rows k row
-      | _ -> ())
-    (rows_of "loops" old_j);
-  List.filter_map
-    (fun nrow ->
-      match str_member "name" nrow with
-      | None -> None
-      | Some k -> (
-          match Hashtbl.find_opt old_rows k with
-          | None -> None
-          | Some orow -> (
-              match (num_member metric orow, num_member metric nrow) with
-              | Some o, Some n
-                when o > 0.0 && Float.abs (n -. o) /. o *. 100.0 > threshold_pct ->
-                  Some
-                    { d_class = (if n > o then "cycles_regression" else "cycles_improvement");
-                      d_regression = false; d_point = k;
-                      d_detail =
-                        Printf.sprintf "%s %.3f -> %.3f (%+.1f%%, timing: never gates)" metric
-                          o n ((n -. o) /. o *. 100.0) }
-              | _ -> None)))
-    (rows_of "loops" new_j)
-
-let diff_bench ?(threshold_pct = 0.0) old_j new_j =
+let diff_bench old_j new_j =
   let* old_kind = Bench_schema.validate old_j in
   let* new_kind = Bench_schema.validate new_j in
   if old_kind <> new_kind then
@@ -424,6 +394,4 @@ let diff_bench ?(threshold_pct = 0.0) old_j new_j =
   else
     match old_kind with
     | "gap" -> Ok (diff_gap old_j new_j)
-    | "sched" -> Ok (diff_timing ~threshold_pct ~metric:"wall_s" old_j new_j)
-    | "interp" -> Ok (diff_timing ~threshold_pct ~metric:"flat_ns_per_iter" old_j new_j)
     | k -> Error (Printf.sprintf "unknown bench kind %s" k)

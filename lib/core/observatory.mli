@@ -42,12 +42,9 @@ val report : Provenance.t list -> string
     points. *)
 
 val diff_bench :
-  ?threshold_pct:float ->
-  Bench_schema.json ->
-  Bench_schema.json ->
-  (divergence list, string) result
-(** Diff two [BENCH_*.json] artifacts of the same kind.  [gap] files
-    join rows by (family, loop, config) and classify gap/II/status
-    movements like ledger points; [sched]/[interp] files report timing
-    deltas beyond the threshold as benign divergences only — wall
-    times are noisy, so they never gate. *)
+  Bench_schema.json -> Bench_schema.json -> (divergence list, string) result
+(** Diff two [BENCH_gap.json] artifacts ([gap] is the one
+    {!Bench_schema} kind; any other is an [Error]).  Rows join by
+    (family, loop, config) and gap/II/status movements classify like
+    ledger points.  The artifacts carry no timing, so no noise
+    threshold applies. *)

@@ -27,29 +27,3 @@ let bool ?(default = false) name =
           warn_invalid ~name ~value:s ~expected:"1/true/yes/on or 0/false/no/off"
             ~default:(if default then "the default (on)" else "the default (off)");
           default)
-
-let int ?(min = Stdlib.min_int) ~default name =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= min -> n
-      | _ ->
-          warn_invalid ~name ~value:s
-            ~expected:(if min = Stdlib.min_int then "an integer"
-                       else Printf.sprintf "an integer >= %d" min)
-            ~default:(Printf.sprintf "the default (%d)" default);
-          default)
-
-let float ?(min = Stdlib.neg_infinity) ~default name =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f when f >= min && not (Float.is_nan f) -> f
-      | _ ->
-          warn_invalid ~name ~value:s
-            ~expected:(if min = Stdlib.neg_infinity then "a number"
-                       else Printf.sprintf "a number >= %g" min)
-            ~default:(Printf.sprintf "the default (%g)" default);
-          default)

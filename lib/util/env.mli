@@ -20,11 +20,3 @@ val bool : ?default:bool -> string -> bool
 
 val parse_bool : string -> bool option
 (** The boolean grammar above, without the environment lookup. *)
-
-val int : ?min:int -> default:int -> string -> int
-(** Read an integer variable; values below [min] (default: no lower
-    bound) count as malformed and warn via {!warn_invalid}. *)
-
-val float : ?min:float -> default:float -> string -> float
-(** Read a float variable; NaN and values below [min] (default: no
-    lower bound) count as malformed and warn via {!warn_invalid}. *)

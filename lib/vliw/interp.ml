@@ -79,8 +79,7 @@ let binary_fn = function
    The original straight-line interpreter: per-operand float-array
    allocation, a polymorphic Hashtbl for memory, side tables rebuilt on
    every call.  Retained verbatim (plus [Fma]) as the semantic anchor
-   the flat kernel below is differentially tested against, and as the
-   always-safe execution path ([WR_INTERP_SAFE]). *)
+   the flat kernel below is differentially tested against. *)
 
 let run_reference ?iterations (loop : Loop.t) =
   let g = loop.Loop.ddg in
@@ -222,8 +221,7 @@ let run_reference ?iterations (loop : Loop.t) =
 
    Indices are validated once at the end of [compile] ([validate]), so
    the [unsafe_get]/[unsafe_set] in the inner loop are in bounds by
-   construction; [WR_INTERP_SAFE=1] additionally routes every [run]
-   through the reference engine above. *)
+   construction. *)
 
 (* Micro-opcode encoding on the tape. *)
 let uop_load = 0
@@ -561,8 +559,6 @@ let image_of_arenas arenas =
   done;
   !acc
 
-let safe_mode = lazy (Wr_util.Env.bool "WR_INTERP_SAFE" ~default:false)
-
 (* One iteration of the tape.  [pbase.(d)] is the flat base offset of
    the phase holding values produced [d] iterations ago, or of the
    constant prehistory block when [iter < d]; all slot and distance
@@ -615,7 +611,6 @@ let run_plan ?iterations (p : plan) =
   in
   if iterations < 0 then invalid_arg "Interp.run: negative iteration count";
   if iterations = 0 then empty_result
-  else if Lazy.force safe_mode then run_reference ~iterations p.source
   else begin
     let n_slots = p.n_slots in
     let vals = Array.make ((p.depth + 1) * n_slots) prehistory in
@@ -647,9 +642,7 @@ let run_plan ?iterations (p : plan) =
 let run ?iterations (loop : Loop.t) =
   let iterations = match iterations with Some i -> i | None -> loop.Loop.trip_count in
   if iterations < 0 then invalid_arg "Interp.run: negative iteration count";
-  if iterations = 0 then empty_result
-  else if Lazy.force safe_mode then run_reference ~iterations loop
-  else run_plan ~iterations (compile loop)
+  if iterations = 0 then empty_result else run_plan ~iterations (compile loop)
 
 let arrays_of (loop : Loop.t) =
   let ids = Hashtbl.create 8 in

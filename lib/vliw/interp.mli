@@ -21,8 +21,7 @@
        [int]/[float] arrays with per-array memory arenas, executes with
        no per-iteration allocation, and is differentially tested to be
        bit-identical to the reference (including the [loads]/[stores]/
-       [flops] counters).  Setting [WR_INTERP_SAFE=1] routes every run
-       through the reference engine instead.}}
+       [flops] counters).}}
 
     Conventions that make the semantics transform-invariant:
 
@@ -73,8 +72,7 @@ val run_plan : ?iterations:int -> plan -> result
     (default: the source loop's trip count). *)
 
 val run : ?iterations:int -> Wr_ir.Loop.t -> result
-(** [compile] + [run_plan] (or the reference engine under
-    [WR_INTERP_SAFE=1]).  Executes the loop for [iterations] graph
+(** [compile] + [run_plan].  Executes the loop for [iterations] graph
     iterations (default: the loop's trip count).  Raises
     [Invalid_argument] if the graph uses an operand shape the
     transforms never produce.  [iterations = 0] returns the empty

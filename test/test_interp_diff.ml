@@ -2,7 +2,8 @@
    (Interp.compile + run_plan, the default) must be bit-identical to
    the retained reference engine — memory image, loads, stores, flops —
    on every loop the transforms can produce: original, widened,
-   unrolled, spilled, and the fma-bearing stencil family.  Plus
+   unrolled, spilled, the fma-bearing stencil family, and the largest
+   suite loops over a long run.  Plus
    regression tests for the satellite fixes (iterations = 0 fast path,
    restrict's sorted merge, equal_memory's single walk) and the
    determinism of verified runs across pool sizes. *)
@@ -99,7 +100,20 @@ let test_differential_stencils () =
       diff_check ~label:name ~iterations:12 loop;
       let wide, _ = Transform.widen loop ~width:4 in
       diff_check ~label:(name ^ "@w4") ~iterations:4 wide)
-    (Stencil.all ())
+    (Stencil.all ());
+  (* The interpreter works hardest on the biggest bodies: the 12
+     largest loops by op count of the 60-loop sample (ties by suite
+     position), over a long run. *)
+  let by_size =
+    List.stable_sort
+      (fun (a : Loop.t) (b : Loop.t) ->
+        compare (Ddg.num_ops b.Loop.ddg) (Ddg.num_ops a.Loop.ddg))
+      (Array.to_list (Wr_workload.Suite.sample 60))
+  in
+  List.iteri
+    (fun i (loop : Loop.t) ->
+      if i < 12 then diff_check ~label:loop.Loop.name ~iterations:1000 loop)
+    by_size
 
 (* --- iterations = 0 / 1 fast paths ---------------------------------------- *)
 
@@ -249,15 +263,17 @@ let test_verified_deterministic_across_jobs () =
   let run jobs =
     Wr_util.Pool.set_default_jobs jobs;
     Core.Evaluate.clear_cache ();
-    Core.Spill_study.to_text
-      (Core.Spill_study.run ~suite_id:(Printf.sprintf "diffjobs%d" jobs) loops)
+    let suite_id = Printf.sprintf "diffjobs%d" jobs in
+    ( Core.Spill_study.to_text (Core.Spill_study.run ~suite_id loops),
+      Core.Tradeoff.figure9_text (Core.Tradeoff.figure9 ~suite_id loops) )
   in
-  let a = run 1 in
-  let b = run 4 in
+  let fig3_a, fig9_a = run 1 in
+  let fig3_b, fig9_b = run 4 in
   Core.Evaluate.set_verify false;
   Wr_util.Pool.set_default_jobs 1;
   Core.Evaluate.clear_cache ();
-  Alcotest.(check string) "verified study identical at jobs=1 and jobs=4" a b
+  Alcotest.(check string) "verified study identical at jobs=1 and jobs=4" fig3_a fig3_b;
+  Alcotest.(check string) "verified fig9 identical at jobs=1 and jobs=4" fig9_a fig9_b
 
 let () =
   Alcotest.run "interp_diff"

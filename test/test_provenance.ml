@@ -209,7 +209,7 @@ let test_report_renders () =
 
 (* --- bench schema ------------------------------------------------------------ *)
 
-let bench_files = [ "BENCH_gap.json"; "BENCH_interp.json"; "BENCH_sched.json" ]
+let bench_files = [ "BENCH_gap.json" ]
 
 let bench_path name = Filename.concat "../" name
 
