@@ -17,8 +17,6 @@ module Interp = Wr_vliw.Interp
 
 type violation = { oracle : string; detail : string }
 
-let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.oracle v.detail
-
 let to_string vs =
   String.concat "\n" (List.map (fun v -> Printf.sprintf "[%s] %s" v.oracle v.detail) vs)
 

@@ -30,8 +30,6 @@ type violation = {
   detail : string;  (** human-readable description of the broken invariant *)
 }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val to_string : violation list -> string
 (** One line per violation. *)
 

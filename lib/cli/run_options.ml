@@ -19,6 +19,32 @@ let positive =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* Paths are checked at parse time, so a bad one is a usage error
+   before the run rather than an exception at its end.  The run creates
+   the leaf (store directory or output file), never its parent. *)
+let creatable path =
+  let dir = Filename.dirname path in
+  if Sys.file_exists dir && Sys.is_directory dir then Ok path
+  else Error (`Msg (Printf.sprintf "%s: directory %s does not exist" path dir))
+
+let store_dir =
+  let parse = function
+    | "" -> Ok "" (* no store *)
+    | path when Sys.file_exists path ->
+        if Sys.is_directory path then Ok path
+        else Error (`Msg (Printf.sprintf "%s is not a directory" path))
+    | path -> creatable path
+  in
+  Arg.conv ~docv:"DIR" (parse, Format.pp_print_string)
+
+let out_file =
+  let parse path =
+    if Sys.file_exists path && Sys.is_directory path then
+      Error (`Msg (Printf.sprintf "%s is a directory" path))
+    else creatable path
+  in
+  Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
+
 let jobs =
   let doc =
     "Size of the domain pool used for parallel evaluation (also the WR_JOBS environment \
@@ -40,7 +66,7 @@ let store =
   (* The fallback lets a warm cache follow a user across invocations
      without repeating the flag. *)
   let env = Cmd.Env.info "WR_STORE" in
-  Arg.(value & opt (some string) None & info [ "store" ] ~env ~docv:"DIR" ~doc)
+  Arg.(value & opt (some store_dir) None & info [ "store" ] ~env ~docv:"DIR" ~doc)
 
 let backend =
   let doc =
@@ -78,7 +104,7 @@ let ledger =
      ledger at FILE — the input of $(b,bench) $(b,report)/$(b,diff).  Byte-identical for \
      any --jobs; per-point wall times are opt-in via WR_LEDGER_WALL=1."
   in
-  Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "ledger" ] ~docv:"FILE" ~doc)
 
 let trace =
   let doc =
@@ -86,7 +112,7 @@ let trace =
      chrome://tracing or https://ui.perfetto.dev): one lane per domain, spans for every \
      pipeline stage (widen, schedule, allocate, spill, verify, pool tasks)."
   in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let metrics =
   let doc =
@@ -94,7 +120,7 @@ let metrics =
      and span aggregate (scheduler attempts/evictions, spill rounds, cache hit rates, pool \
      utilization)."
   in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some out_file) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let term =
   let open Term.Syntax in
@@ -137,6 +163,12 @@ let start ~out t =
              else "")
       | exception Core.Store.Locked msg ->
           prerr_endline msg;
+          exit 2
+      | exception (Invalid_argument msg | Sys_error msg) ->
+          Printf.eprintf "store %s: %s\n%!" dir msg;
+          exit 2
+      | exception Unix.Unix_error (e, fn, _) ->
+          Printf.eprintf "store %s: %s: %s\n%!" dir fn (Unix.error_message e);
           exit 2)
     t.store;
   if t.trace <> None || t.metrics <> None then Wr_obs.Obs.set_enabled true

@@ -1,6 +1,11 @@
 (** The run options shared by the bench harness and [widening-cli serve]:
     one Cmdliner term for the evaluation engine's process-wide knobs,
-    and the {!start}/{!finish} pair every run wraps its work in. *)
+    and the {!start}/{!finish} pair every run wraps its work in.
+
+    The path options are checked at parse time, so a bad path is a
+    usage error (exit 1) before the run starts: [--store] must be a
+    directory or a new one in an existing directory, and [--ledger],
+    [--trace] and [--metrics] must be files in an existing directory. *)
 
 type t = {
   jobs : int option;  (** [--jobs/-j]: evaluation pool size *)
@@ -32,7 +37,8 @@ val start : out:out_channel -> t -> unit
 (** Apply the options to the process-wide settings ({!Wr_util.Pool},
     {!Wr_sched.Backend}, {!Core.Evaluate}, {!Core.Provenance},
     {!Wr_obs.Obs}), attach the store and print its recovery line on
-    [out].  Exits 2 when another live process holds the store. *)
+    [out].  Exits 2, after one line on stderr, when the store cannot be
+    opened (another live process holds it, or the system refuses). *)
 
 val finish : out:out_channel -> t -> unit
 (** Print the [[verify]] line (verified runs only), write the trace,

@@ -19,8 +19,9 @@ let total_bits ~suite_id config loops =
   Wr_util.Stats.sum
     (Wr_util.Pool.parallel_map indexed ~f:(fun (i, loop) ->
          let r =
-           Evaluate.loop_cached ~suite_id ~index:i config ~cycle_model
-             ~registers:1_000_000 loop
+           (Evaluate.loop_cached ~suite_id ~index:i config ~cycle_model
+              ~registers:1_000_000 loop)
+             .Evaluate.result
          in
          float_of_int (Code_size.loop_code_bits config ~ii:r.Evaluate.ii)))
 

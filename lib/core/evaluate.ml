@@ -18,6 +18,7 @@ type loop_result = {
   pipelined : bool;
   mii : int;
   trip_count : int;
+  degraded : bool;
 }
 
 (* Total full-pipeline evaluations performed (scheduler actually
@@ -66,8 +67,6 @@ let strict_flag = Atomic.make (Wr_util.Env.bool "WR_STRICT" ~default:false)
 
 let set_strict b = Atomic.set strict_flag b
 
-let strict_enabled () = Atomic.get strict_flag
-
 (* Per-loop wall-clock budget in milliseconds; 0 means unbudgeted. *)
 let loop_budget = Atomic.make 0
 
@@ -75,8 +74,6 @@ let set_loop_budget_ms = function
   | None -> Atomic.set loop_budget 0
   | Some ms when ms > 0 -> Atomic.set loop_budget ms
   | Some ms -> invalid_arg (Printf.sprintf "Evaluate.set_loop_budget_ms: %d <= 0" ms)
-
-let loop_budget_ms () = match Atomic.get loop_budget with 0 -> None | ms -> Some ms
 
 type quarantine_record = {
   q_suite : string;
@@ -160,7 +157,9 @@ let sequential_cost ~cycle_model g =
    are iteration-count independent and immutable, so one entry serves
    every point; width 0 keys the unwidened original.  Guarded by its
    own mutex with the same discipline as the other memo tables (the
-   compile itself runs outside the lock). *)
+   compile itself runs outside the lock).  Only [loop_cached] passes a
+   [plan_key] (its suite id and index name the loop); a direct
+   [loop_on] compiles per call. *)
 let plan_cache : (string * int * int, Wr_vliw.Interp.plan) Hashtbl.t = Hashtbl.create 1024
 
 let plan_cache_mutex = Mutex.create ()
@@ -189,7 +188,7 @@ let cached_plan ~plan_key ~width loop =
           Mutex.unlock plan_cache_mutex;
           Some stored)
 
-let loop_on_impl ?plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
+let loop_on_impl ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
   Atomic.incr eval_count;
   if Obs.enabled () then Obs.incr "eval/evaluations";
   (* The body is widened for the machine's width but NOT unrolled by
@@ -244,6 +243,7 @@ let loop_on_impl ?plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t
         pipelined = true;
         mii = s.Driver.mii;
         trip_count = prepared.Loop.trip_count;
+        degraded = false;
       }
   | Driver.Unschedulable _ ->
       let resource_free = sequential_cost ~cycle_model prepared.Loop.ddg in
@@ -273,15 +273,19 @@ let loop_on_impl ?plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t
         pipelined = false;
         mii = r.Wr_sched.Modulo.mii;
         trip_count = prepared.Loop.trip_count;
+        degraded = false;
       }
 
-let loop_on ?plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
-  if not (Obs.enabled ()) then loop_on_impl ?plan_key c ~cycle_model ~registers loop
+let traced_loop_on ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
+  if not (Obs.enabled ()) then loop_on_impl ~plan_key c ~cycle_model ~registers loop
   else
     (* The args list is only built when tracing is on. *)
     Obs.span "eval/loop"
       ~args:[ ("loop", loop.Loop.name); ("config", Config.label c) ]
-      (fun () -> loop_on_impl ?plan_key c ~cycle_model ~registers loop)
+      (fun () -> loop_on_impl ~plan_key c ~cycle_model ~registers loop)
+
+let loop_on c ~cycle_model ~registers loop =
+  traced_loop_on ~plan_key:None c ~cycle_model ~registers loop
 
 type aggregate = {
   total_cycles : float;
@@ -304,11 +308,18 @@ type aggregate = {
    studies revisit operating points), while [loop_cache] memoizes
    individual loop evaluations keyed by (suite, loop index, machine
    point) so that different studies — and different aggregations over
-   the same suite — share the expensive schedule-and-allocate work. *)
+   the same suite — share the expensive schedule-and-allocate work.
+   A degraded result says so itself ([degraded]), so every later hit on
+   its entry reports it too.  (A flag block beside each entry instead
+   raised figures-cold's peak heap by about a third on OCaml 5.1.) *)
 let cache : (string * int * int * int * int, aggregate) Hashtbl.t = Hashtbl.create 256
 
-let loop_cache : (string * int * int * int * int * int, loop_result) Hashtbl.t =
-  Hashtbl.create 4096
+type memo_key = string * int * int * int * int * int
+
+let memo_key ~suite_id ~index (c : Config.t) ~cycle_model ~registers : memo_key =
+  (suite_id, index, c.Config.buses, c.Config.width, registers, Cycle_model.cycles cycle_model)
+
+let loop_cache : (memo_key, loop_result) Hashtbl.t = Hashtbl.create 4096
 
 let cache_mutex = Mutex.create ()
 
@@ -405,11 +416,11 @@ let store_entry_of_result hash (r : loop_result) =
    store shared across backends never answers one with the other's
    result.  The ledger keeps the bare hash: [bench diff] joins on it and
    reports backend changes per point. *)
-let store_key ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
-  let h = Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop in
+let store_key hash =
   match Wr_sched.Backend.current () with
-  | Wr_sched.Backend.Heuristic -> h
-  | k -> Wr_obs.Ledger.fnv1a64 (Printf.sprintf "%Lx backend=%s" h (Wr_sched.Backend.to_string k))
+  | Wr_sched.Backend.Heuristic -> hash
+  | k ->
+      Wr_obs.Ledger.fnv1a64 (Printf.sprintf "%Lx backend=%s" hash (Wr_sched.Backend.to_string k))
 
 let result_of_store_entry (e : Store.entry) =
   {
@@ -422,6 +433,7 @@ let result_of_store_entry (e : Store.entry) =
     pipelined = e.Store.pipelined;
     mii = e.Store.mii;
     trip_count = e.Store.trip_count;
+    degraded = false;
   }
 
 (* Paper-faithful degradation: when an evaluation dies (injected fault,
@@ -444,16 +456,16 @@ let degraded_result ~cycle_model ~registers (loop : Loop.t) =
     pipelined = false;
     mii = 0;
     trip_count = loop.Loop.trip_count;
+    degraded = true;
   }
 
 (* Provenance record for one freshly evaluated point; called only when
    capture is on and this call's result won the first-store race, so a
    run emits at most one record per point. *)
-let prov_record ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop
+let prov_record ~hash ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop
     (r : loop_result) ~clean ~tag (t : Wr_sched.Backend.tally) ~wall_us =
   {
-    Provenance.hash =
-      Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop;
+    Provenance.hash;
     suite = suite_id;
     index;
     loop = loop.Loop.name;
@@ -485,36 +497,52 @@ let prov_record ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop
     wall_us;
   }
 
-let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
-  let key =
-    ( suite_id,
-      index,
-      c.Config.buses,
-      c.Config.width,
-      registers,
-      Cycle_model.cycles cycle_model )
+type source = Memo | Store | Fresh
+
+type answer = { result : loop_result; source : source }
+
+(* First store wins so concurrent callers settle on one physical
+   result record; returns the record the memo holds. *)
+let memo_add key r =
+  Mutex.lock cache_mutex;
+  let stored =
+    match Hashtbl.find_opt loop_cache key with
+    | Some r' -> r'
+    | None ->
+        Hashtbl.add loop_cache key r;
+        r
   in
+  Mutex.unlock cache_mutex;
+  stored
+
+let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
+  let key = memo_key ~suite_id ~index c ~cycle_model ~registers in
   Mutex.lock cache_mutex;
   let hit = Hashtbl.find_opt loop_cache key in
   Mutex.unlock cache_mutex;
   match hit with
-  | Some r ->
+  | Some result ->
       Atomic.incr loop_hits;
       if Obs.enabled () then Obs.incr "eval/loop_cache_hits";
-      r
+      { result; source = Memo }
   | None -> (
       Atomic.incr loop_misses;
       if Obs.enabled () then Obs.incr "eval/loop_cache_misses";
-      (* Second chance: the persistent store, keyed by the point's
-         content hash.  A hit is a prior run's (or another client's)
-         clean result; it enters the loop cache like any other entry
-         and is served without touching the scheduler. *)
       let attached_store = current_store () in
-      let key_hash =
-        match attached_store with
-        | None -> 0L
-        | Some _ -> store_key ~suite_id ~index c ~cycle_model ~registers loop
+      let cap = Provenance.capture_enabled () in
+      (* The point hash names what persists (store key, ledger record).
+         It walks the whole loop body, so it is computed once, and only
+         on a miss that needs it. *)
+      let hash =
+        if cap || Option.is_some attached_store then
+          Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop
+        else 0L
       in
+      (* Second chance: the persistent store.  A hit is a prior run's
+         (or another client's) clean result; it enters the loop cache
+         like any other entry and is served without touching the
+         scheduler. *)
+      let key_hash = if Option.is_some attached_store then store_key hash else 0L in
       let from_store =
         match attached_store with
         | None -> None
@@ -531,16 +559,7 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
       in
       match from_store with
       | Some r ->
-          Mutex.lock cache_mutex;
-          let stored =
-            match Hashtbl.find_opt loop_cache key with
-            | Some r' -> r'
-            | None ->
-                Hashtbl.add loop_cache key r;
-                r
-          in
-          Mutex.unlock cache_mutex;
-          stored
+          { result = memo_add key r; source = Store }
       | None ->
       (* Supervision: the whole widen/schedule/allocate pipeline for
          this one point runs under the point's fault-injection context
@@ -553,15 +572,14 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
           (Cycle_model.cycles cycle_model)
       in
       let evaluate () =
-        let plan_key = (suite_id, index) in
+        let plan_key = Some (suite_id, index) in
         Wr_util.Fault.with_context context (fun () ->
             match Atomic.get loop_budget with
-            | 0 -> loop_on ~plan_key c ~cycle_model ~registers loop
+            | 0 -> traced_loop_on ~plan_key c ~cycle_model ~registers loop
             | ms ->
                 Wr_util.Deadline.with_budget_ms ms (fun () ->
-                    loop_on ~plan_key c ~cycle_model ~registers loop))
+                    traced_loop_on ~plan_key c ~cycle_model ~registers loop))
       in
-      let cap = Provenance.capture_enabled () in
       let wall = cap && Provenance.wall_enabled () in
       let t0 = if wall then Obs.now_ns () else 0 in
       let run_point () =
@@ -570,7 +588,7 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
         | exception Out_of_memory ->
             (* Never absorb resource exhaustion into a data point. *)
             raise Out_of_memory
-        | exception e when not (strict_enabled ()) ->
+        | exception e when not (Atomic.get strict_flag) ->
             let bt = Printexc.get_backtrace () in
             let reason = Printexc.to_string e in
             quarantine
@@ -590,18 +608,8 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
         if cap then Wr_sched.Backend.with_tally run_point
         else (run_point (), Wr_sched.Backend.empty_tally ())
       in
-      Mutex.lock cache_mutex;
-      (* First store wins so concurrent callers settle on one physical
-         result record. *)
-      let stored =
-        match Hashtbl.find_opt loop_cache key with
-        | Some r' -> r'
-        | None ->
-            Hashtbl.add loop_cache key r;
-            r
-      in
-      Mutex.unlock cache_mutex;
-      if clean && stored == r then begin
+      let result = memo_add key r in
+      if clean && result == r then begin
         (* Only the winning clean evaluation persists; a quarantined
            point must re-run, when the fault may be gone.  An append
            racing a detach is dropped, not fatal. *)
@@ -618,34 +626,13 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
       (* Same first-store-wins discipline: only the winning evaluation
          describes the point, and — unlike the store — a quarantined
          point is recorded too, exception tag and all. *)
-      if cap && stored == r then begin
+      if cap && result == r then begin
         let wall_us = if wall then Some ((Obs.now_ns () - t0) / 1000) else None in
         Provenance.record
-          (prov_record ~suite_id ~index c ~cycle_model ~registers loop r ~clean ~tag tally
-             ~wall_us)
+          (prov_record ~hash ~suite_id ~index c ~cycle_model ~registers loop r ~clean ~tag
+             tally ~wall_us)
       end;
-      stored)
-
-(* Counter-free probes for the service's per-reply source labels: they
-   must not perturb the hit/miss statistics the same reply reports. *)
-let probe ~suite_id ~index (c : Config.t) ~cycle_model ~registers =
-  let key =
-    ( suite_id,
-      index,
-      c.Config.buses,
-      c.Config.width,
-      registers,
-      Cycle_model.cycles cycle_model )
-  in
-  Mutex.lock cache_mutex;
-  let r = Hashtbl.find_opt loop_cache key in
-  Mutex.unlock cache_mutex;
-  r
-
-let probe_store ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
-  match current_store () with
-  | None -> false
-  | Some st -> Store.find st (store_key ~suite_id ~index c ~cycle_model ~registers loop) <> None
+      { result; source = Fresh })
 
 let suite_on ?pool ~suite_id (c : Config.t) ~cycle_model ~registers loops =
   let key =
@@ -664,7 +651,7 @@ let suite_on ?pool ~suite_id (c : Config.t) ~cycle_model ~registers loops =
          else Obs.span "eval/suite" ~args:[ ("config", Config.label c) ])
           (fun () ->
             Wr_util.Pool.parallel_map ?pool indexed ~f:(fun (i, loop) ->
-                loop_cached ~suite_id ~index:i c ~cycle_model ~registers loop))
+                (loop_cached ~suite_id ~index:i c ~cycle_model ~registers loop).result))
       in
       let total_cycles = ref 0.0 in
       let unpipelined = ref 0 and spilled = ref 0 in

@@ -38,22 +38,42 @@ type loop_result = {
   pipelined : bool;
   mii : int;  (** MII of the widened body (from the pre-spill graph) *)
   trip_count : int;  (** trip count of the widened loop *)
+  degraded : bool;
+      (** the unpipelined fallback {!loop_cached} substitutes for an
+          evaluation that raised (see Supervision); {!loop_on} never
+          returns one *)
 }
 
 val loop_on :
-  ?plan_key:string * int ->
   Wr_machine.Config.t ->
   cycle_model:Wr_machine.Cycle_model.t ->
   registers:int ->
   Wr_ir.Loop.t ->
   loop_result
 (** Uncached full-pipeline evaluation of one loop; increments
-    {!evaluations}.  [plan_key] ([suite_id], [index]) keys the memo of
-    compiled {!Wr_vliw.Interp} plans used by the verification oracles,
-    so a verified study interprets each loop through one compiled plan
-    across all its machine points; without it plans are compiled per
-    call.  It must uniquely name the loop, like the cache key of
-    {!loop_cached} (which passes it automatically). *)
+    {!evaluations}.  A raised exception propagates: only
+    {!loop_cached} quarantines. *)
+
+(** How {!loop_cached} answered: from the loop memo, from the attached
+    persistent store, or by running the pipeline. *)
+type source = Memo | Store | Fresh
+
+type answer = { result : loop_result; source : source }
+(** [result.degraded] says whether the result is degraded, whichever
+    call filled the memo entry. *)
+
+type memo_key
+(** The loop memo's key: [(suite_id, index, buses, width, registers,
+    cycle model)].  Points with equal keys get the same {!loop_cached}
+    answer, so the service coalesces duplicate requests on it. *)
+
+val memo_key :
+  suite_id:string ->
+  index:int ->
+  Wr_machine.Config.t ->
+  cycle_model:Wr_machine.Cycle_model.t ->
+  registers:int ->
+  memo_key
 
 val loop_cached :
   suite_id:string ->
@@ -62,12 +82,16 @@ val loop_cached :
   cycle_model:Wr_machine.Cycle_model.t ->
   registers:int ->
   Wr_ir.Loop.t ->
-  loop_result
-(** Loop-level memo over {!loop_on}, keyed by
-    [(suite_id, index, buses, width, registers, cycle model)].
-    [suite_id] and [index] must uniquely name the loop passed.  Repeated
-    calls with one key return the physically same record; concurrent
-    callers settle on the first stored result.  Thread-safe. *)
+  answer
+(** The one lookup for a (loop, machine point): the loop memo first,
+    keyed by {!memo_key}; on a miss the attached store; then a fresh
+    supervised {!loop_on} run, whose result enters the memo.
+    [suite_id] and [index] must uniquely name the loop passed.
+    {!Provenance.point_hash} is computed at most once per call, and
+    only on a memo miss with a store attached or ledger capture on; it
+    keys both the store lookup/append and the provenance record.
+    Repeated calls with one key return the physically same [result];
+    concurrent callers settle on the first stored result.  Thread-safe. *)
 
 val evaluations : unit -> int
 (** Number of times {!loop_on} actually ran the widen/schedule/allocate
@@ -113,16 +137,12 @@ val set_strict : bool -> unit
 (** Toggle fail-fast.  Initialized from the [WR_STRICT] environment
     variable. *)
 
-val strict_enabled : unit -> bool
-
 val set_loop_budget_ms : int option -> unit
 (** Wall-clock budget per loop evaluation, enforced cooperatively at
     II-escalation, scheduler-attempt, and spill-round boundaries (see
     {!Wr_util.Deadline}); an overrun degrades the point through the
     quarantine path.  [None] (the default) disables the budget; raises
     [Invalid_argument] on a non-positive budget. *)
-
-val loop_budget_ms : unit -> int option
 
 type quarantine_record = {
   q_suite : string;
@@ -183,28 +203,6 @@ val store_entries : unit -> int
 
 val store_appended : unit -> int
 (** Entries this process appended to the attached store. *)
-
-val probe :
-  suite_id:string ->
-  index:int ->
-  Wr_machine.Config.t ->
-  cycle_model:Wr_machine.Cycle_model.t ->
-  registers:int ->
-  loop_result option
-(** Loop-cache lookup without evaluating and without touching the
-    hit/miss counters — the service uses it to label each reply's
-    source ([memo]/[store]/[fresh]) before running {!loop_cached}. *)
-
-val probe_store :
-  suite_id:string ->
-  index:int ->
-  Wr_machine.Config.t ->
-  cycle_model:Wr_machine.Cycle_model.t ->
-  registers:int ->
-  Wr_ir.Loop.t ->
-  bool
-(** Whether the attached store holds this point (counter-free, like
-    {!probe}); [false] when no store is attached. *)
 
 type aggregate = {
   total_cycles : float;  (** weighted cycles over all loops *)

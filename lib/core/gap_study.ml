@@ -46,7 +46,7 @@ let status_string = function
   | Exact.Feasible_unproved -> "improved_unproved"
   | Exact.Fallback -> "timeout"
 
-let point ~cycle_model ~max_nodes ?budget_ms (family, index, loop, config) =
+let point ~cycle_model ~max_nodes (family, index, loop, config) =
   let wall = Provenance.capture_enabled () && Provenance.wall_enabled () in
   let t0 = if wall then Obs.now_ns () else 0 in
   let row =
@@ -58,7 +58,7 @@ let point ~cycle_model ~max_nodes ?budget_ms (family, index, loop, config) =
     let wide, _ = Wr_widen.Transform.widen loop ~width:config.Config.width in
     let ddg = wide.Loop.ddg in
     let resource = Resource.of_config config in
-    let r = Exact.solve resource ~cycle_model ~max_nodes ?budget_ms ddg in
+    let r = Exact.solve resource ~cycle_model ~max_nodes ddg in
     let heur_ii = r.Exact.base.Modulo.schedule.Schedule.ii in
     if Obs.enabled () then begin
       Obs.incr "gap/points";
@@ -128,7 +128,7 @@ let point ~cycle_model ~max_nodes ?budget_ms (family, index, loop, config) =
   row
 
 let run ?(configs = default_configs) ?(cycle_model = Cycle_model.Cycles_4)
-    ?(max_nodes = 200_000) ?budget_ms families =
+    ?(max_nodes = 200_000) families =
   Obs.span "gap/run" @@ fun () ->
   let points =
     List.concat_map
@@ -142,11 +142,10 @@ let run ?(configs = default_configs) ?(cycle_model = Cycle_model.Cycles_4)
   in
   (* One point per pool task; order-preserving map keeps the row order
      (families, then suite order, then config order) deterministic for
-     the CSV no matter the pool size — and with no wall budget by
-     default, the node budget alone cuts the search, so every cell
-     (status and node count included) is bit-identical for any
-     [--jobs]. *)
-  let rows = Pool.parallel_list_map points ~f:(point ~cycle_model ~max_nodes ?budget_ms) in
+     the CSV no matter the pool size — and the node budget alone cuts
+     the search, so every cell (status and node count included) is
+     bit-identical for any [--jobs]. *)
+  let rows = Pool.parallel_list_map points ~f:(point ~cycle_model ~max_nodes) in
   let count p = List.length (List.filter p rows) in
   {
     rows;

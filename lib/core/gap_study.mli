@@ -46,15 +46,13 @@ val run :
   ?configs:Wr_machine.Config.t list ->
   ?cycle_model:Wr_machine.Cycle_model.t ->
   ?max_nodes:int ->
-  ?budget_ms:int ->
   (string * Wr_ir.Loop.t array) list ->
   t
 (** Evaluate every family x loop x config point on the pool
     (order-preserving, so the row order is deterministic for any
     [--jobs]).  [max_nodes] (default 200_000) bounds each II attempt of
-    the exact search; [budget_ms] additionally bounds a point's wall
-    time but is off by default — with the node budget alone the whole
-    table, node counts included, is bit-identical for any pool size. *)
+    the exact search, and is the only bound, so the whole table, node
+    counts included, is bit-identical for any pool size. *)
 
 val to_text : t -> string
 (** Per-(family, config) aggregate table plus the overall counts. *)

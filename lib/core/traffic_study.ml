@@ -37,7 +37,10 @@ let classify ~suite_id ~index config ~registers:z (loop : Loop.t) =
   (* Program traffic in scalar words per source execution. *)
   let mem_ops = Ddg.scalar_count_class loop.Loop.ddg Opcode.Bus in
   let r_program = float_of_int (mem_ops * loop.Loop.trip_count) *. loop.Loop.weight in
-  let r = Evaluate.loop_cached ~suite_id ~index config ~cycle_model:cm ~registers:z loop in
+  let r =
+    (Evaluate.loop_cached ~suite_id ~index config ~cycle_model:cm ~registers:z loop)
+      .Evaluate.result
+  in
   let spill_static = r.Evaluate.spill_stores + r.Evaluate.spill_loads in
   if not r.Evaluate.pipelined then
     { r_spilled = false; r_slowed = false; r_failed = true; r_program; r_spill = 0.0 }

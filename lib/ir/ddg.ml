@@ -268,10 +268,6 @@ let operands t v =
   in
   List.mapi describe t.ops.(v).Operation.uses
 
-let map_ops t ~f =
-  let ops = Array.map f t.ops in
-  create ~num_vregs:t.num_vregs ~ops ~edges:t.edges
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>ddg: %d ops, %d vregs, %d edges@," (num_ops t) t.num_vregs
     (List.length t.edges);

@@ -106,8 +106,4 @@ type operand = {
 val operands : t -> int -> operand list
 (** Operand descriptors of one operation, in [uses] order. *)
 
-val map_ops : t -> f:(Operation.t -> Operation.t) -> t
-(** Rebuild the graph with transformed operations (ids must be
-    preserved by [f]); edges are kept.  Revalidates. *)
-
 val pp : Format.formatter -> t -> unit

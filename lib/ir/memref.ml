@@ -4,9 +4,6 @@ let make ~array_id ~stride ~offset = { array_id; stride; offset }
 
 let address_at t ~iteration = (t.stride * iteration) + t.offset
 
-let same_location a b =
-  a.array_id = b.array_id && a.stride = b.stride && a.offset = b.offset
-
 type conflict = No_conflict | At_distance of int | Unknown
 
 let conflict a b =

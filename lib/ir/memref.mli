@@ -19,10 +19,6 @@ val make : array_id:int -> stride:int -> offset:int -> t
 val address_at : t -> iteration:int -> int
 (** Word address touched at a given iteration. *)
 
-val same_location : t -> t -> bool
-(** Whether the two references always touch the same address at the
-    same iteration. *)
-
 type conflict =
   | No_conflict  (** the two references can never touch the same word *)
   | At_distance of int

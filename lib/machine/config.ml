@@ -14,10 +14,6 @@ let make ~buses ~fpus ~width ~registers ?(partitions = 1) () =
 let xwy ?(registers = 256) ?(partitions = 1) ~x ~y () =
   make ~buses:x ~fpus:(2 * x) ~width:y ~registers ~partitions ()
 
-let with_registers t registers = make ~buses:t.buses ~fpus:t.fpus ~width:t.width ~registers ~partitions:t.partitions ()
-
-let with_partitions t partitions = make ~buses:t.buses ~fpus:t.fpus ~width:t.width ~registers:t.registers ~partitions ()
-
 let factor t = t.buses * t.width
 
 let read_ports t = (2 * t.fpus) + t.buses

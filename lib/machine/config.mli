@@ -27,9 +27,6 @@ val xwy : ?registers:int -> ?partitions:int -> x:int -> y:int -> unit -> t
     [registers] defaults to 256 (the largest file studied),
     [partitions] to 1. *)
 
-val with_registers : t -> int -> t
-val with_partitions : t -> int -> t
-
 val factor : t -> int
 (** [buses * width]: the configuration's peak-capability scaling
     factor.  All [XwY] with equal [X*Y] can issue the same number of

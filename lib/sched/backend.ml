@@ -103,12 +103,12 @@ let note_exact t (r : Exact.t) =
   t.nodes <- t.nodes + r.Exact.nodes;
   t.iis_refuted <- t.iis_refuted + r.Exact.iis_refuted
 
-(* Exact-lane budgets when the exact backend runs inside the study
-   pipeline (as opposed to the gap study, which passes its own): small
+(* Exact-lane node budget per II attempt when the exact backend runs
+   inside the study pipeline (the gap study passes its own): small
    enough that a pathological refutation cannot stall a point, large
-   enough to catch the common one-II improvements. *)
-let exact_max_nodes = 200_000
-let exact_budget_ms = 50
+   enough to catch the common one-II improvements.  Nodes, not wall
+   time, so exact results do not depend on machine speed. *)
+let exact_max_nodes = 50_000
 
 let refined (r : Exact.t) : Modulo.result =
   { r.base with Modulo.schedule = r.schedule }
@@ -124,8 +124,7 @@ let run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii ?ordering g =
   | Exact ->
       let base = Modulo.run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii ?ordering g in
       let e =
-        Exact.solve resource ~cycle_model ~max_nodes:exact_max_nodes
-          ~budget_ms:exact_budget_ms ?min_ii ?max_ii ~base g
+        Exact.solve resource ~cycle_model ~max_nodes:exact_max_nodes ?min_ii ?max_ii ~base g
       in
       note (fun t ->
           note_sched t base;

@@ -11,8 +11,8 @@
        scheduler, a verbatim {!Modulo.run} call: study output is
        byte-identical to the pre-seam pipeline;}
     {- [Exact] — heuristic first, then {!Exact.solve} refines it or
-       proves it optimal within a node + wall budget, falling back to
-       the heuristic result on expiry.}}
+       proves it optimal within a node budget, falling back to the
+       heuristic result on expiry.}}
 
     Selection: {!set} (wired to [--backend] in the CLIs) or the
     [WR_SCHED_BACKEND] environment variable ([heuristic|exact],

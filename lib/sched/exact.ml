@@ -56,9 +56,8 @@ let path_matrix ?scratch n =
    start time by n * (max_delay + II).  Re-anchoring shifts by at most
    that again, hence the box.  Enumerating every in-box, in-window slot
    with backtracking is therefore exhaustive: [Infeasible] is a proof,
-   [Gave_up] (node budget or [stop ()]) is not. *)
-let at_ii resource ~cycle_model ~ii ?(max_nodes = 200_000)
-    ?(stop = fun () -> false) ?scratch ?(nodes_out = ref 0) g =
+   [Gave_up] (node budget) is not. *)
+let at_ii resource ~cycle_model ~ii ?(max_nodes = 200_000) ?scratch ?(nodes_out = ref 0) g =
   let n = Ddg.num_ops g in
   if n = 0 then Feasible (Schedule.make ~ii ~times:[||] ~cycle_model)
   else begin
@@ -203,7 +202,6 @@ let at_ii resource ~cycle_model ~ii ?(max_nodes = 200_000)
             else begin
               incr nodes;
               if !nodes - start_nodes > max_nodes then raise Out_of_budget;
-              if (!nodes - start_nodes) land 1023 = 0 && stop () then raise Out_of_budget;
               if Mrt.can_place mrt (cls op) ~time:t ~occupancy:(occ op) then begin
                 Mrt.place mrt (cls op) ~time:t ~occupancy:(occ op);
                 time.(op) <- t;
@@ -300,8 +298,7 @@ let min_ii resource ~cycle_model ?max_nodes g =
    the fallback payload.  The exact search only ever has to decide the
    IIs in [mii, heuristic_ii - 1]; refuting all of them proves the
    heuristic optimal, finding a schedule at one of them improves it. *)
-let solve resource ~cycle_model ?(max_nodes = 200_000) ?budget_ms ?min_ii:minimum
-    ?max_ii ?base g =
+let solve resource ~cycle_model ?(max_nodes = 200_000) ?min_ii:minimum ?max_ii ?base g =
   Obs.span "exact/solve" @@ fun () ->
   let base =
     match base with
@@ -330,31 +327,19 @@ let solve resource ~cycle_model ?(max_nodes = 200_000) ?budget_ms ?min_ii:minimu
   in
   if n = 0 || hii <= mii then finish Proved_optimal base.Modulo.schedule hii 0 0
   else begin
-    let deadline_ns =
-      Option.map (fun ms -> Obs.now_ns () + (ms * 1_000_000)) budget_ms
-    in
-    let stop =
-      match deadline_ns with
-      | None -> fun () -> false
-      (* >= so a zero budget expires at the very first poll even when
-         the clock has not ticked past the capture instant — the
-         budget-expired fallback must be deterministic. *)
-      | Some d -> fun () -> Obs.now_ns () >= d
-    in
     let scratch = Array.make_matrix n n neg_inf in
     let nodes = ref 0 in
     let rec go ii all_refuted =
-      (* Global supervision budget still fires at II boundaries; the
-         local [stop] budget is what bounds the exact search itself. *)
+      (* The supervision budget fires at II boundaries; the node
+         budget is what bounds the exact search itself. *)
       Wr_util.Deadline.check ();
       if ii >= hii then
         if all_refuted then
           (* Every II below the heuristic's refuted: proved optimal. *)
           finish Proved_optimal base.Modulo.schedule hii !nodes (hii - mii)
         else finish Fallback base.Modulo.schedule hii !nodes 0
-      else if stop () then finish Fallback base.Modulo.schedule hii !nodes 0
       else
-        match at_ii resource ~cycle_model ~ii ~max_nodes ~stop ~scratch ~nodes_out:nodes g with
+        match at_ii resource ~cycle_model ~ii ~max_nodes ~scratch ~nodes_out:nodes g with
         | Feasible s ->
             finish
               (if all_refuted then Proved_optimal else Feasible_unproved)

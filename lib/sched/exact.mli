@@ -9,9 +9,8 @@
     completeness box of (n+1) * (max_delay + II) slots — large enough
     that a normalized solution must fall inside it whenever any
     solution exists (see the argument in [exact.ml]).  The price is
-    that refutations can be expensive; the node budget and the optional
-    wall budget turn "too expensive" into [Gave_up], which claims
-    nothing. *)
+    that refutations can be expensive; the node budget turns "too
+    expensive" into [Gave_up], which claims nothing. *)
 
 type outcome = Feasible of Schedule.t | Infeasible | Gave_up
 
@@ -44,15 +43,13 @@ val at_ii :
   cycle_model:Wr_machine.Cycle_model.t ->
   ii:int ->
   ?max_nodes:int ->
-  ?stop:(unit -> bool) ->
   ?scratch:int array array ->
   ?nodes_out:int ref ->
   Wr_ir.Ddg.t ->
   outcome
 (** Search for a schedule at exactly the given II.  [max_nodes]
-    (default 200_000) bounds backtracking nodes; [stop] is polled every
-    1024 nodes and turns the search into [Gave_up] when it fires (wall
-    budgets hang off this).  [scratch], if given, is an at-least
+    (default 200_000) bounds backtracking nodes; exceeding it is
+    [Gave_up].  [scratch], if given, is an at-least
     [n x n] matrix reused (and fully overwritten) for the all-pairs
     path bounds; [nodes_out] accumulates node counts across calls. *)
 
@@ -71,7 +68,6 @@ val solve :
   Wr_machine.Resource.t ->
   cycle_model:Wr_machine.Cycle_model.t ->
   ?max_nodes:int ->
-  ?budget_ms:int ->
   ?min_ii:int ->
   ?max_ii:int ->
   ?base:Modulo.result ->
@@ -80,9 +76,8 @@ val solve :
 (** Refinement driver: run (or reuse, via [base]) the heuristic, then
     decide the IIs in [[MII, heuristic II - 1]] bottom-up.  Refuting
     all of them proves the heuristic optimal; finding a schedule at one
-    improves it.  [max_nodes] bounds each II attempt, [budget_ms]
-    bounds the whole solve in wall-clock time (checked between nodes
-    and at II boundaries); on expiry the heuristic result comes back
+    improves it.  [max_nodes] bounds each II attempt; when no lower II
+    is found and some attempt gave up, the heuristic result comes back
     with [status = Fallback].  The result's II is never worse than the
     heuristic's.  [min_ii]/[max_ii] are forwarded to the heuristic run
     and [min_ii] also floors the exact search, so register-pressure

@@ -17,9 +17,10 @@ type result = {
 let empty_schedule ~cycle_model = Schedule.make ~ii:1 ~times:[||] ~cycle_model
 
 (* WR_SCHED_DEBUG follows the same warn-once-on-invalid discipline as
-   WR_JOBS / WR_VERIFY (Wr_util.Env); forced lazily so a process that
-   never schedules pays nothing and the warning lands at most once. *)
-let sched_debug = lazy (Wr_util.Env.bool "WR_SCHED_DEBUG" ~default:false)
+   WR_JOBS / WR_VERIFY (Wr_util.Env) and, like WR_VERIFY, is read once
+   at start-up: a lazy forced by two pool domains at once raises
+   [CamlinternalLazy.Undefined] in one of them. *)
+let sched_debug = Wr_util.Env.bool "WR_SCHED_DEBUG" ~default:false
 
 (* height(v): longest weighted path out of v at the given II; the
    classic IMS priority.  Weights [delay - II * distance] admit no
@@ -265,7 +266,7 @@ let attempt ~cycle_model g ~view ~delays ~ii ~rec_mii ~critical ~budget ~orderin
       failwith "Modulo.force: could not place after full eviction";
     evict_violated_succs op t
   in
-  let debug = Lazy.force sched_debug in
+  let debug = sched_debug in
   let per_op = if debug then Array.make n 0 else [||] in
   let ok = ref true in
   while !ok && !num_scheduled < n do

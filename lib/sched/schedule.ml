@@ -16,8 +16,6 @@ let stage_count t =
   if Array.length t.times = 0 then 0
   else 1 + (Array.fold_left Stdlib.max 0 t.times / t.ii)
 
-let kernel_slot t i = t.times.(i) mod t.ii
-
 let stage t i = t.times.(i) / t.ii
 
 let span t =

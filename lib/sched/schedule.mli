@@ -17,7 +17,6 @@ val stage_count : t -> int
 (** Number of kernel stages (pipeline depth of the software pipeline):
     [1 + max times / ii]; 0 for an empty loop. *)
 
-val kernel_slot : t -> int -> int
 val stage : t -> int -> int
 
 val span : t -> int

@@ -123,16 +123,21 @@ let with_id id fields =
 
 let render fields = J.to_string (J.Obj fields)
 
-let eval_reply ~id ~source ~degraded ~coalesced r =
+let source_label = function
+  | Core.Evaluate.Memo -> "memo"
+  | Core.Evaluate.Store -> "store"
+  | Core.Evaluate.Fresh -> "fresh"
+
+let eval_reply ~id ~coalesced (a : Core.Evaluate.answer) =
   render
     (with_id id
        [
          ("ok", J.Bool true);
          ("op", J.Str "eval");
-         ("source", J.Str source);
-         ("degraded", J.Bool degraded);
+         ("source", J.Str (source_label a.Core.Evaluate.source));
+         ("degraded", J.Bool a.Core.Evaluate.result.Core.Evaluate.degraded);
          ("coalesced", J.Bool coalesced);
-         ("result", result_json r);
+         ("result", result_json a.Core.Evaluate.result);
        ])
 
 let suite_reply ~id a =

@@ -64,13 +64,9 @@ val result_json : Core.Evaluate.loop_result -> Core.Bench_schema.json
 
 val aggregate_json : Core.Evaluate.aggregate -> Core.Bench_schema.json
 
-val eval_reply :
-  id:string option ->
-  source:string ->
-  degraded:bool ->
-  coalesced:bool ->
-  Core.Evaluate.loop_result ->
-  string
+val eval_reply : id:string option -> coalesced:bool -> Core.Evaluate.answer -> string
+(** The answer's source spelled [memo]/[store]/[fresh], its degraded
+    flag, and its result. *)
 
 val suite_reply : id:string option -> Core.Evaluate.aggregate -> string
 

@@ -1,7 +1,5 @@
 module J = Core.Bench_schema
 module Evaluate = Core.Evaluate
-module Config = Wr_machine.Config
-module Cycle_model = Wr_machine.Cycle_model
 module Loop = Wr_ir.Loop
 module Pool = Wr_util.Pool
 module Obs = Wr_obs.Obs
@@ -31,12 +29,13 @@ type conn = {
   mutable owed : int;  (** admitted replies not yet written *)
 }
 
-type job =
-  | Point of { id : string option; p : P.point; loop : Loop.t; key : int64; conn : conn }
-  | Agg of { id : string option; p : P.point; loops : Loop.t array; conn : conn }
+(* A point job carries the memo key it coalesces on. *)
+type work = Point of Loop.t * Evaluate.memo_key | Agg of Loop.t array
 
-(* In-flight eval requests by content hash; a duplicate attaches here
-   instead of taking an admission slot. *)
+type job = { id : string option; p : P.point; work : work; conn : conn }
+
+(* In-flight point jobs by memo key; a duplicate attaches here instead
+   of taking an admission slot. *)
 type flight = { mutable waiters : (conn * string option) list }
 
 type t = {
@@ -44,15 +43,13 @@ type t = {
   qmutex : Mutex.t;
   qcond : Condition.t;
   queue : job Queue.t;
-  inflight : (int64, flight) Hashtbl.t;
+  inflight : (Evaluate.memo_key, flight) Hashtbl.t;
   mutable outstanding : int;  (** admitted (queued + evaluating) primaries *)
   draining : bool Atomic.t;
   served : int Atomic.t;
   shed : int Atomic.t;
   coalesced : int Atomic.t;
   started_ns : int;
-  suites : (string, Loop.t array) Hashtbl.t;
-  smutex : Mutex.t;
 }
 
 (* --- plumbing ---------------------------------------------------------- *)
@@ -90,30 +87,15 @@ let expect_reply conn =
 
 (* --- suites ------------------------------------------------------------ *)
 
-let resolve_suite t name =
-  Mutex.lock t.smutex;
-  let cached = Hashtbl.find_opt t.suites name in
-  Mutex.unlock t.smutex;
-  match cached with
-  | Some loops -> Ok loops
-  | None -> (
-      let generated =
-        if String.equal name "full" then Ok (Wr_workload.Suite.perfect_club_like ())
-        else if String.length name > 6 && String.equal (String.sub name 0 6) "sample" then
-          match int_of_string_opt (String.sub name 6 (String.length name - 6)) with
-          | Some n when n >= 1 -> Ok (Wr_workload.Suite.sample n)
-          | _ -> Error (Printf.sprintf "bad suite %S: sampleN needs a positive N" name)
-        else Error (Printf.sprintf "unknown suite %S (expected \"full\" or \"sampleN\")" name)
-      in
-      match generated with
-      | Ok loops ->
-          (* Racing readers generate the same deterministic array; the
-             replace is idempotent. *)
-          Mutex.lock t.smutex;
-          Hashtbl.replace t.suites name loops;
-          Mutex.unlock t.smutex;
-          Ok loops
-      | Error _ as e -> e)
+(* Both are cheap: the full suite is generated once per process and a
+   sample copies array slots. *)
+let resolve_suite name =
+  if String.equal name "full" then Ok (Wr_workload.Suite.perfect_club_like ())
+  else if String.length name > 6 && String.equal (String.sub name 0 6) "sample" then
+    match int_of_string_opt (String.sub name 6 (String.length name - 6)) with
+    | Some n when n >= 1 -> Ok (Wr_workload.Suite.sample n)
+    | _ -> Error (Printf.sprintf "bad suite %S: sampleN needs a positive N" name)
+  else Error (Printf.sprintf "unknown suite %S (expected \"full\" or \"sampleN\")" name)
 
 (* --- health ------------------------------------------------------------ *)
 
@@ -167,18 +149,17 @@ let signal_dispatcher t =
   Condition.broadcast t.qcond;
   Mutex.unlock t.qmutex
 
-let admit_eval t conn id (p : P.point) loop =
-  let key =
-    Core.Provenance.point_hash ~suite_id:p.P.suite ~index:p.P.index ~config:p.P.config
-      ~registers:p.P.registers ~cycle_model:p.P.cycle_model loop
-  in
+let admit t conn id (p : P.point) work =
   Mutex.lock t.qmutex;
+  let flight =
+    match work with Point (_, key) -> Hashtbl.find_opt t.inflight key | Agg _ -> None
+  in
   if Atomic.get t.draining then begin
     Mutex.unlock t.qmutex;
     send conn (P.busy_reply ~id "server is draining")
   end
   else
-    match Hashtbl.find_opt t.inflight key with
+    match flight with
     | Some fl ->
         (* Duplicate of an in-flight point: ride along free of charge.
            Coalescing is checked before the admission bound on purpose —
@@ -190,43 +171,24 @@ let admit_eval t conn id (p : P.point) loop =
         Mutex.unlock t.qmutex
     | None ->
         if t.outstanding >= t.cfg.queue_max then begin
+          let outstanding = t.outstanding in
           Atomic.incr t.shed;
           Mutex.unlock t.qmutex;
           send conn
             (P.busy_reply ~id
-               (Printf.sprintf "admission queue full (%d outstanding, max %d)" t.outstanding
+               (Printf.sprintf "admission queue full (%d outstanding, max %d)" outstanding
                   t.cfg.queue_max))
         end
         else begin
-          Hashtbl.add t.inflight key { waiters = [] };
+          (match work with
+          | Point (_, key) -> Hashtbl.add t.inflight key { waiters = [] }
+          | Agg _ -> ());
           t.outstanding <- t.outstanding + 1;
           expect_reply conn;
-          Queue.add (Point { id; p; loop; key; conn }) t.queue;
+          Queue.add { id; p; work; conn } t.queue;
           Condition.signal t.qcond;
           Mutex.unlock t.qmutex
         end
-
-let admit_agg t conn id (p : P.point) loops =
-  Mutex.lock t.qmutex;
-  if Atomic.get t.draining then begin
-    Mutex.unlock t.qmutex;
-    send conn (P.busy_reply ~id "server is draining")
-  end
-  else if t.outstanding >= t.cfg.queue_max then begin
-    Atomic.incr t.shed;
-    Mutex.unlock t.qmutex;
-    send conn
-      (P.busy_reply ~id
-         (Printf.sprintf "admission queue full (%d outstanding, max %d)" t.outstanding
-            t.cfg.queue_max))
-  end
-  else begin
-    t.outstanding <- t.outstanding + 1;
-    expect_reply conn;
-    Queue.add (Agg { id; p; loops; conn }) t.queue;
-    Condition.signal t.qcond;
-    Mutex.unlock t.qmutex
-  end
 
 let handle_line t conn line =
   match P.parse_request line with
@@ -239,7 +201,7 @@ let handle_line t conn line =
           signal_dispatcher t;
           send conn (P.shutdown_reply ~id)
       | P.Eval p | P.Suite p -> (
-          match resolve_suite t p.P.suite with
+          match resolve_suite p.P.suite with
           | Error msg -> send conn (P.error_reply ~id msg)
           | Ok loops -> (
               match req with
@@ -249,8 +211,13 @@ let handle_line t conn line =
                       (P.error_reply ~id
                          (Printf.sprintf "index %d out of range: suite %s has %d loops"
                             p.P.index p.P.suite (Array.length loops)))
-                  else admit_eval t conn id p loops.(p.P.index)
-              | P.Suite p -> admit_agg t conn id p loops
+                  else
+                    let key =
+                      Evaluate.memo_key ~suite_id:p.P.suite ~index:p.P.index p.P.config
+                        ~cycle_model:p.P.cycle_model ~registers:p.P.registers
+                    in
+                    admit t conn id p (Point (loops.(p.P.index), key))
+              | P.Suite p -> admit t conn id p (Agg loops)
               | P.Health | P.Shutdown -> assert false)))
 
 let reader t conn =
@@ -269,18 +236,6 @@ let reader t conn =
 
 (* --- evaluation -------------------------------------------------------- *)
 
-let degraded_point (p : P.point) =
-  let label = Config.label p.P.config in
-  let cycles = Cycle_model.cycles p.P.cycle_model in
-  List.exists
-    (fun (q : Evaluate.quarantine_record) ->
-      String.equal q.Evaluate.q_suite p.P.suite
-      && q.Evaluate.q_index = p.P.index
-      && String.equal q.Evaluate.q_config label
-      && q.Evaluate.q_registers = p.P.registers
-      && q.Evaluate.q_cycle_model = cycles)
-    (Evaluate.quarantined ())
-
 let with_budget t (p : P.point) f =
   match (p.P.deadline_ms, t.cfg.request_budget_ms) with
   | Some ms, _ | None, Some ms ->
@@ -290,43 +245,43 @@ let with_budget t (p : P.point) f =
       Wr_util.Deadline.with_budget_ms ms f
   | None, None -> f ()
 
-let process_point t ~id ~(p : P.point) ~loop ~key ~conn =
-  let source =
-    match
-      Evaluate.probe ~suite_id:p.P.suite ~index:p.P.index p.P.config
-        ~cycle_model:p.P.cycle_model ~registers:p.P.registers
-    with
-    | Some _ -> "memo"
-    | None ->
-        if
-          Evaluate.probe_store ~suite_id:p.P.suite ~index:p.P.index p.P.config
-            ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop
-        then "store"
-        else "fresh"
-  in
+let process t { id; p; work; conn } =
   let outcome =
     (* A strict-mode failure (or any bug outside the quarantine net)
        becomes an error reply on this request; the server survives. *)
     try
       Ok
         (with_budget t p (fun () ->
-             Evaluate.loop_cached ~suite_id:p.P.suite ~index:p.P.index p.P.config
-               ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop))
+             match work with
+             | Point (loop, _) ->
+                 let a =
+                   Evaluate.loop_cached ~suite_id:p.P.suite ~index:p.P.index p.P.config
+                     ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop
+                 in
+                 fun ~coalesced id -> P.eval_reply ~id ~coalesced a
+             | Agg loops ->
+                 let a =
+                   Evaluate.suite_on ~suite_id:p.P.suite p.P.config
+                     ~cycle_model:p.P.cycle_model ~registers:p.P.registers loops
+                 in
+                 fun ~coalesced:_ id -> P.suite_reply ~id a))
     with
     | Out_of_memory -> raise Out_of_memory
     | e -> Error (Printexc.to_string e)
   in
   Mutex.lock t.qmutex;
   let waiters =
-    match Hashtbl.find_opt t.inflight key with Some fl -> fl.waiters | None -> []
+    match work with
+    | Agg _ -> []
+    | Point (_, key) ->
+        let w = match Hashtbl.find_opt t.inflight key with Some fl -> fl.waiters | None -> [] in
+        Hashtbl.remove t.inflight key;
+        w
   in
-  Hashtbl.remove t.inflight key;
   t.outstanding <- t.outstanding - 1;
   Mutex.unlock t.qmutex;
   let reply ~coalesced id =
-    match outcome with
-    | Ok r -> P.eval_reply ~id ~source ~degraded:(degraded_point p) ~coalesced r
-    | Error msg -> P.error_reply ~id msg
+    match outcome with Ok render -> render ~coalesced id | Error msg -> P.error_reply ~id msg
   in
   Atomic.incr t.served;
   send ~owed:true conn (reply ~coalesced:false id);
@@ -335,28 +290,6 @@ let process_point t ~id ~(p : P.point) ~loop ~key ~conn =
       Atomic.incr t.served;
       send ~owed:true wconn (reply ~coalesced:true wid))
     (List.rev waiters)
-
-let process_agg t ~id ~(p : P.point) ~loops ~conn =
-  let outcome =
-    try
-      Ok
-        (with_budget t p (fun () ->
-             Evaluate.suite_on ~suite_id:p.P.suite p.P.config ~cycle_model:p.P.cycle_model
-               ~registers:p.P.registers loops))
-    with
-    | Out_of_memory -> raise Out_of_memory
-    | e -> Error (Printexc.to_string e)
-  in
-  Mutex.lock t.qmutex;
-  t.outstanding <- t.outstanding - 1;
-  Mutex.unlock t.qmutex;
-  Atomic.incr t.served;
-  send ~owed:true conn
-    (match outcome with Ok a -> P.suite_reply ~id a | Error msg -> P.error_reply ~id msg)
-
-let process t = function
-  | Point { id; p; loop; key; conn } -> process_point t ~id ~p ~loop ~key ~conn
-  | Agg { id; p; loops; conn } -> process_agg t ~id ~p ~loops ~conn
 
 (* One dispatcher: pops admitted jobs in batches sized to the pool and
    fans each batch out with [parallel_map].  Each task writes its own
@@ -429,8 +362,6 @@ let run cfg =
       shed = Atomic.make 0;
       coalesced = Atomic.make 0;
       started_ns = Obs.now_ns ();
-      suites = Hashtbl.create 8;
-      smutex = Mutex.create ();
     }
   in
   let lfd = bind_listener cfg.listen in

@@ -9,7 +9,10 @@
     dispatcher thread pops admitted work in batches and fans each batch
     onto the shared {!Wr_util.Pool}, so evaluation parallelism is the
     pool's, not the connection count's.  Replies are written by the
-    evaluating task itself, under a per-connection write mutex.
+    evaluating task itself, under a per-connection write mutex.  An
+    [eval] reply's [source] ([memo]/[store]/[fresh]) and [degraded]
+    flag are those of the one {!Core.Evaluate.loop_cached} call that
+    answered it.
 
     {2 Robustness invariants}
 
@@ -18,10 +21,11 @@
        outstanding (queued or evaluating).  A request beyond that is
        shed immediately with the explicit busy reply — memory stays
        bounded no matter the offered load.}
-    {- {b Coalescing}: an [eval] request whose {!Core.Provenance}
-       point hash matches one already in flight attaches to it as a
-       waiter (without consuming an admission slot) and receives the
-       same result bytes; duplicate traffic costs one evaluation.}
+    {- {b Coalescing}: an [eval] request for the same point as one
+       already in flight (equal {!Core.Evaluate.memo_key}: suite, loop
+       index and machine point) attaches to it as a waiter (without
+       consuming an admission slot) and receives the same answer,
+       marked [coalesced]; duplicate traffic costs one evaluation.}
     {- {b Deadlines}: a request's [deadline_ms] (or the server-wide
        [request_budget_ms]) becomes a {!Wr_util.Deadline} budget
        installed inside the pool task; an overrun degrades that point

@@ -61,11 +61,6 @@ let render ?title ~headers ?aligns rows =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let render_floats ?title ~headers ?(decimals = 2) ~row_label ~cells items =
-  let fmt x = Printf.sprintf "%.*f" decimals x in
-  let rows = List.map (fun it -> row_label it :: List.map fmt (cells it)) items in
-  render ?title ~headers rows
-
 let bar_chart ?title ?(width = 50) ?(unit = "") entries =
   let vmax = List.fold_left (fun acc (_, v) -> Stdlib.max acc v) 0.0 entries in
   let label_w =

@@ -17,18 +17,6 @@ val render :
     cells render empty; [aligns] defaults to left for the first column
     and right for the rest. *)
 
-val render_floats :
-  ?title:string ->
-  headers:string list ->
-  ?decimals:int ->
-  row_label:('a -> string) ->
-  cells:('a -> float list) ->
-  'a list ->
-  string
-(** Convenience wrapper for numeric tables: one row per item, first
-    column the label, remaining columns formatted with [decimals]
-    (default 2) fraction digits. *)
-
 val bar_chart :
   ?title:string ->
   ?width:int ->

@@ -195,7 +195,3 @@ let unroll (loop : Loop.t) ~factor =
     let n = Ddg.num_ops loop.Loop.ddg in
     replicate loop ~y:factor ~wide:(Array.make n false)
       ~suffix:(Printf.sprintf "@u%d" factor)
-
-let for_config (loop : Loop.t) ~buses ~width =
-  let wide, stats = widen loop ~width in
-  (unroll wide ~factor:buses, stats)

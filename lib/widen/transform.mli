@@ -45,8 +45,4 @@ val unroll : Wr_ir.Loop.t -> factor:int -> Wr_ir.Loop.t
     the bus count [X] after widening, so all configurations of equal
     [X*Y] process the same work per scheduled iteration. *)
 
-val for_config : Wr_ir.Loop.t -> buses:int -> width:int -> Wr_ir.Loop.t * stats
-(** [widen ~width] followed by [unroll ~factor:buses] — the standard
-    preparation of a loop for an [XwY] machine. *)
-
 val pp_stats : Format.formatter -> stats -> unit

@@ -114,14 +114,16 @@ let test_loop_cache_returns_same_record () =
   let c = Config.xwy ~registers:64 ~x:2 ~y:1 () in
   let before = Core.Evaluate.evaluations () in
   let a =
-    Core.Evaluate.loop_cached ~suite_id:"cache-unit" ~index:0 c ~cycle_model:cm ~registers:64
-      loop
+    (Core.Evaluate.loop_cached ~suite_id:"cache-unit" ~index:0 c ~cycle_model:cm ~registers:64
+       loop)
+      .Core.Evaluate.result
   in
   Alcotest.(check int) "first call runs the pipeline" (before + 1)
     (Core.Evaluate.evaluations ());
   let b =
-    Core.Evaluate.loop_cached ~suite_id:"cache-unit" ~index:0 c ~cycle_model:cm ~registers:64
-      loop
+    (Core.Evaluate.loop_cached ~suite_id:"cache-unit" ~index:0 c ~cycle_model:cm ~registers:64
+       loop)
+      .Core.Evaluate.result
   in
   Alcotest.(check bool) "physically the same record" true (a == b);
   Alcotest.(check int) "second call is a pure hit" (before + 1)
@@ -140,14 +142,78 @@ let test_loop_cache_shared_across_studies () =
   let results =
     Array.mapi
       (fun i loop ->
-        Core.Evaluate.loop_cached ~suite_id:"cache-share" ~index:i c ~cycle_model:cm
-          ~registers:64 loop)
+        (Core.Evaluate.loop_cached ~suite_id:"cache-share" ~index:i c ~cycle_model:cm
+           ~registers:64 loop)
+          .Core.Evaluate.result)
       loops
   in
   Alcotest.(check int) "no re-evaluations" n (Core.Evaluate.evaluations ());
   let total = Array.fold_left (fun acc r -> acc +. r.Core.Evaluate.cycles) 0.0 results in
   Alcotest.(check (float 1e-9)) "aggregate agrees with cached loops"
     agg.Core.Evaluate.total_cycles total
+
+let with_tmp_dir f =
+  let dir = Filename.temp_file "wr-core-test" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
+let test_loop_cached_reports_how_it_answered () =
+  (* One lookup per point: [loop_cached] says whether the memo, the
+     store or a fresh run answered, and whether the result is the
+     degraded fallback — on the quarantining call and on every memo hit
+     after it. *)
+  let module E = Core.Evaluate in
+  let loop = K.daxpy () in
+  let c = Config.xwy ~registers:64 ~x:2 ~y:2 () in
+  let ask () =
+    E.loop_cached ~suite_id:"answer-unit" ~index:0 c ~cycle_model:cm ~registers:64 loop
+  in
+  let expect what source degraded (a : E.answer) =
+    Alcotest.(check bool) (what ^ ": source") true (a.E.source = source);
+    Alcotest.(check bool) (what ^ ": degraded") degraded a.E.result.E.degraded
+  in
+  E.clear_cache ();
+  with_tmp_dir (fun dir ->
+      ignore (E.attach_store (Filename.concat dir "store"));
+      Fun.protect ~finally:E.detach_store (fun () ->
+          let fresh = ask () in
+          expect "first call" E.Fresh false fresh;
+          let memo = ask () in
+          expect "second call" E.Memo false memo;
+          Alcotest.(check bool) "memo hit is the same record" true
+            (memo.E.result == fresh.E.result);
+          E.clear_cache ();
+          let stored = ask () in
+          expect "after clear_cache" E.Store false stored;
+          Alcotest.(check bool) "store answer equals the fresh one" true
+            (stored.E.result = fresh.E.result);
+          Alcotest.(check bool) "store answer enters the memo" true
+            ((ask ()).E.result == stored.E.result)));
+  let module Fault = Wr_util.Fault in
+  E.clear_cache ();
+  Fault.configure [ { Fault.site = "widen"; prob = 1.0; seed = 1L; action = Fault.Raise } ];
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.configure [];
+      E.reset_quarantine ();
+      E.clear_cache ())
+    (fun () ->
+      let degraded = ask () in
+      expect "faulted call" E.Fresh true degraded;
+      Alcotest.(check bool) "degraded result is unpipelined" false
+        degraded.E.result.E.pipelined;
+      let again = ask () in
+      expect "memo hit on a degraded point" E.Memo true again;
+      Alcotest.(check bool) "same degraded record" true (again.E.result == degraded.E.result))
 
 let test_clear_cache_drops_both_levels () =
   Core.Evaluate.clear_cache ();
@@ -453,6 +519,8 @@ let () =
           Alcotest.test_case "same record, no re-run" `Quick test_loop_cache_returns_same_record;
           Alcotest.test_case "shared across studies" `Slow test_loop_cache_shared_across_studies;
           Alcotest.test_case "clear drops both levels" `Quick test_clear_cache_drops_both_levels;
+          Alcotest.test_case "reports memo, store or fresh" `Quick
+            test_loop_cached_reports_how_it_answered;
         ] );
       ( "peak_study",
         [

@@ -388,7 +388,9 @@ let test_store_keyed_by_backend () =
   let loop = Wr_workload.Stencil.heat1d () in
   let cfg = Config.xwy ~registers:128 ~x:1 ~y:2 () in
   let eval () =
-    Evaluate.loop_cached ~suite_id:"res-backend" ~index:0 cfg ~cycle_model:cm ~registers:128 loop
+    (Evaluate.loop_cached ~suite_id:"res-backend" ~index:0 cfg ~cycle_model:cm ~registers:128
+       loop)
+      .Evaluate.result
   in
   Wr_sched.Backend.set Wr_sched.Backend.Heuristic;
   let heuristic = Evaluate.loop_on cfg ~cycle_model:cm ~registers:128 loop in

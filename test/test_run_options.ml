@@ -83,6 +83,39 @@ let with_tmp_dir f =
   Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
+let test_bad_paths_rejected () =
+  with_tmp_dir @@ fun dir ->
+  let file = Filename.concat dir "file" in
+  Out_channel.with_open_text file ignore;
+  let missing = Filename.concat dir "missing" in
+  List.iter
+    (fun args ->
+      Alcotest.(check bool) (String.concat " " args ^ " rejected") true (parse args = None))
+    [
+      [ "--store"; file ];
+      [ "--store"; Filename.concat missing "store" ];
+      [ "--ledger"; Filename.concat missing "l.jsonl" ];
+      [ "--trace"; Filename.concat missing "t.json" ];
+      [ "--metrics"; Filename.concat missing "m.json" ];
+      [ "--ledger"; dir ];
+      [ "--trace"; dir ];
+      [ "--metrics"; dir ];
+    ];
+  Alcotest.(check bool) "WR_STORE naming a file rejected" true
+    (parse ~env:(function "WR_STORE" -> Some file | _ -> None) [] = None);
+  let o =
+    parse_ok
+      [
+        "--store"; Filename.concat dir "new-store"; "--ledger"; Filename.concat dir "l.jsonl";
+        "--trace"; file; "--metrics"; Filename.concat dir "m.json";
+      ]
+  in
+  Alcotest.(check (option string)) "new store in an existing directory"
+    (Some (Filename.concat dir "new-store")) o.Run_options.store;
+  Alcotest.(check (option string)) "existing file overwritten" (Some file) o.Run_options.trace;
+  Alcotest.(check (option string)) "existing store directory" (Some dir)
+    (parse_ok [ "--store"; dir ]).Run_options.store
+
 let clean () =
   Fault.configure [];
   Evaluate.set_verify false;
@@ -147,6 +180,7 @@ let () =
           Alcotest.test_case "positive arguments reject 0" `Quick test_positive_rejects_zero;
           Alcotest.test_case "--backend bnb is exact" `Quick test_backend_alias;
           Alcotest.test_case "--store beats WR_STORE" `Quick test_store_env_fallback;
+          Alcotest.test_case "bad paths are usage errors" `Quick test_bad_paths_rejected;
         ] );
       ( "lifecycle",
         [

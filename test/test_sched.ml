@@ -398,11 +398,10 @@ let test_exact_proves_kernels_optimal () =
     (K.all ())
 
 let test_exact_budget_expired_falls_back () =
-  (* A zero wall budget expires before the first II attempt: the exact
-     backend must return the heuristic schedule unchanged (Fallback),
-     and do so deterministically under different pool sizes — the
-     stop-closure is checked in the solver itself, never in pool
-     workers. *)
+  (* A zero node budget gives up every II attempt at its first node:
+     the exact backend must return the heuristic schedule unchanged
+     (Fallback), and do so deterministically under different pool
+     sizes. *)
   let loop = K.banded_matvec () in
   let g = loop.Loop.ddg in
   (* Slow the base down so the refinement window [mii, heur_ii - 1] is
@@ -414,7 +413,7 @@ let test_exact_budget_expired_falls_back () =
     let pool = Wr_util.Pool.create ~jobs () in
     let results =
       Wr_util.Pool.parallel_list_map ~pool [ 0; 1; 2 ] ~f:(fun _ ->
-          Exact.solve resource_1w1 ~cycle_model:cm ~budget_ms:0 ~base:heur g)
+          Exact.solve resource_1w1 ~cycle_model:cm ~max_nodes:0 ~base:heur g)
     in
     Wr_util.Pool.shutdown pool;
     results

@@ -295,6 +295,27 @@ let test_server_store_warm_start () =
   Alcotest.(check int) "zero re-evaluations" evals (Evaluate.evaluations ());
   stop_server sock2 th2
 
+let test_server_degraded_memo_hit () =
+  with_clean_state @@ fun () ->
+  (* 4w2(64) with a 128-register override names the same memo entry as
+     4w2(128): the second request is a memo hit on the quarantined
+     point, and its reply must still say degraded. *)
+  Fault.configure [ { Fault.site = "widen"; prob = 1.0; seed = 1L; action = Fault.Raise } ];
+  let sock, th = start_server () in
+  let r1 = query_ok sock (P.req_eval ~suite:"sample6" ~index:1 ~config:"4w2(128)" ~cycles:4 ()) in
+  Alcotest.(check string) "first answer is fresh" "fresh" (member_str "source" r1);
+  Alcotest.(check bool) "first answer degraded" true
+    (J.member "degraded" r1 = Some (J.Bool true));
+  let r2 =
+    query_ok sock
+      (P.req_eval ~suite:"sample6" ~index:1 ~config:"4w2(64)" ~registers:128 ~cycles:4 ())
+  in
+  Alcotest.(check string) "override answered from memo" "memo" (member_str "source" r2);
+  Alcotest.(check bool) "memo hit on a quarantined point is degraded" true
+    (J.member "degraded" r2 = Some (J.Bool true));
+  Alcotest.(check string) "same result bytes" (result_line r1) (result_line r2);
+  stop_server sock th
+
 let test_server_coalesces_duplicates () =
   with_clean_state @@ fun () ->
   (* Slow evaluation down so concurrent duplicates overlap in flight. *)
@@ -391,6 +412,8 @@ let () =
           Alcotest.test_case "lifecycle over a unix socket" `Quick test_server_lifecycle;
           Alcotest.test_case "store warm start across restart" `Quick
             test_server_store_warm_start;
+          Alcotest.test_case "degraded memo hit stays degraded" `Quick
+            test_server_degraded_memo_hit;
           Alcotest.test_case "duplicate requests coalesce" `Quick
             test_server_coalesces_duplicates;
           Alcotest.test_case "overload sheds explicitly" `Quick
