@@ -188,6 +188,32 @@ let cached_plan ~plan_key ~width loop =
           Mutex.unlock plan_cache_mutex;
           Some stored)
 
+(* Rendered loop bodies ({!Provenance.loop_body}), cached per (suite,
+   loop index) beside the plans: every point of one loop hashes the same
+   body, so it is rendered once per memo generation and only the short
+   per-point header is rendered per point.  An entry also holds the loop
+   it was rendered from and answers only that physical loop, so the key
+   always describes the loop actually passed.  Same mutex discipline as
+   the plan cache; only the point hash reads it. *)
+let body_cache : (string * int, Loop.t * string) Hashtbl.t = Hashtbl.create 1024
+
+let body_cache_mutex = Mutex.create ()
+
+let cached_body ~suite_id ~index loop =
+  let key = (suite_id, index) in
+  Mutex.lock body_cache_mutex;
+  let hit = Hashtbl.find_opt body_cache key in
+  Mutex.unlock body_cache_mutex;
+  match hit with
+  | Some (l, body) when l == loop -> body
+  | Some _ -> Provenance.loop_body loop
+  | None ->
+      let body = Provenance.loop_body loop in
+      Mutex.lock body_cache_mutex;
+      if not (Hashtbl.mem body_cache key) then Hashtbl.add body_cache key (loop, body);
+      Mutex.unlock body_cache_mutex;
+      body
+
 let loop_on_impl ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
   Atomic.incr eval_count;
   if Obs.enabled () then Obs.incr "eval/evaluations";
@@ -331,6 +357,9 @@ let clear_cache () =
   Mutex.lock plan_cache_mutex;
   Hashtbl.reset plan_cache;
   Mutex.unlock plan_cache_mutex;
+  Mutex.lock body_cache_mutex;
+  Hashtbl.reset body_cache;
+  Mutex.unlock body_cache_mutex;
   (* The hit/miss statistics describe the cache contents; dropping one
      without the other would make subsequent hit rates unreadable. *)
   Atomic.set suite_hits 0;
@@ -528,14 +557,25 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
   | None -> (
       Atomic.incr loop_misses;
       if Obs.enabled () then Obs.incr "eval/loop_cache_misses";
+      (* Partitions reach neither [Resource] nor the memo key, so the
+         entry is named after the one-partition config: its point hash,
+         ledger record, quarantine record and fault context are then the
+         same whichever partition count reached it first. *)
+      let c =
+        if c.Config.partitions = 1 then c
+        else
+          Config.make ~buses:c.Config.buses ~fpus:c.Config.fpus ~width:c.Config.width
+            ~registers:c.Config.registers ()
+      in
       let attached_store = current_store () in
       let cap = Provenance.capture_enabled () in
       (* The point hash names what persists (store key, ledger record).
-         It walks the whole loop body, so it is computed once, and only
-         on a miss that needs it. *)
+         It is computed once, and only on a miss that needs it; the
+         loop's body is rendered once per memo generation. *)
       let hash =
         if cap || Option.is_some attached_store then
-          Provenance.point_hash ~suite_id ~index ~config:c ~registers ~cycle_model loop
+          Provenance.point_hash_of_body ~suite_id ~index ~config:c ~registers ~cycle_model
+            (cached_body ~suite_id ~index loop)
         else 0L
       in
       (* Second chance: the persistent store.  A hit is a prior run's

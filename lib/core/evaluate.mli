@@ -89,7 +89,15 @@ val loop_cached :
     [suite_id] and [index] must uniquely name the loop passed.
     {!Provenance.point_hash} is computed at most once per call, and
     only on a memo miss with a store attached or ledger capture on; it
-    keys both the store lookup/append and the provenance record.
+    keys both the store lookup/append and the provenance record.  The
+    loop's {!Provenance.loop_body} is rendered once per
+    [(suite_id, index)] per memo generation (until {!clear_cache}) and
+    reused only for the physically same loop, so each point renders
+    just its short header.  A miss names the entry after [config] with
+    one partition — point hash, ledger record, quarantine record and
+    fault-injection context alike — because partitions reach neither
+    the resources nor {!memo_key}; the entry is then the same whichever
+    partition count reached it first.
     Repeated calls with one key return the physically same [result];
     concurrent callers settle on the first stored result.  Thread-safe. *)
 
@@ -232,5 +240,6 @@ val acceptable : aggregate -> bool
 
 val clear_cache : unit -> unit
 (** Drops all memo levels: the suite aggregates, the per-loop results,
-    and the compiled interpreter plans.  Also resets {!cache_stats} for
-    both counted levels. *)
+    the compiled interpreter plans and the rendered loop bodies, so the
+    next pass renders each loop once, as a fresh process would.  Also
+    resets {!cache_stats} for every counted level. *)

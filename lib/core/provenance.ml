@@ -45,16 +45,14 @@ let schema = "wr-ledger/1"
 
 (* --- content hash ------------------------------------------------------- *)
 
-(* Canonical rendering of the full point input.  The weight goes in as
-   its IEEE-754 bits (hex), not a decimal rendering, so the hash is
-   exactly as discriminating as the float itself. *)
-let point_hash ~suite_id ~index ~(config : Config.t) ~registers ~cycle_model (loop : Loop.t) =
+(* Canonical rendering of the full point input: a short header naming
+   the point, then the loop body.  FNV-1a is a streaming fold, so the
+   header is hashed first and the hash continues over the body, which
+   callers that hash many points of one loop render once.  The weight
+   goes in as its IEEE-754 bits (hex), not a decimal rendering, so the
+   hash is exactly as discriminating as the float itself. *)
+let loop_body (loop : Loop.t) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "wrpoint/1\n";
-  Buffer.add_string buf
-    (Printf.sprintf "suite=%s\nindex=%d\nconfig=%s\nregisters=%d\ncycle_model=%d\n" suite_id
-       index (Config.label config) registers
-       (Cycle_model.cycles cycle_model));
   Buffer.add_string buf
     (Printf.sprintf "loop=%s trip=%d weight=%Lx\n" loop.Loop.name loop.Loop.trip_count
        (Int64.bits_of_float loop.Loop.weight));
@@ -70,7 +68,18 @@ let point_hash ~suite_id ~index ~(config : Config.t) ~registers ~cycle_model (lo
            (Dependence.kind_to_string e.Dependence.kind)
            e.Dependence.distance))
     (Ddg.edges g);
-  Ledger.fnv1a64 (Buffer.contents buf)
+  Buffer.contents buf
+
+let point_hash_of_body ~suite_id ~index ~(config : Config.t) ~registers ~cycle_model body =
+  let header =
+    Printf.sprintf "wrpoint/1\nsuite=%s\nindex=%d\nconfig=%s\nregisters=%d\ncycle_model=%d\n"
+      suite_id index (Config.label config) registers
+      (Cycle_model.cycles cycle_model)
+  in
+  Ledger.fnv1a64_fold (Ledger.fnv1a64 header) body
+
+let point_hash ~suite_id ~index ~config ~registers ~cycle_model loop =
+  point_hash_of_body ~suite_id ~index ~config ~registers ~cycle_model (loop_body loop)
 
 (* --- capture state ------------------------------------------------------ *)
 

@@ -15,14 +15,15 @@
     The ledger is byte-identical for any [--jobs]: records are
     buffered in memory as points complete (any order) and written
     sorted by (suite, index, config, registers, cycle model) when the
-    run ends.  Two fields can break byte-identity and are therefore
-    off by default: wall time (opt in with [WR_LEDGER_WALL=1] or
-    [--ledger-wall]; the field is absent otherwise) and the
-    non-default [exact] backend, whose budget expiry depends on the
-    wall clock (its statuses are documented as best-effort).  A run
-    resumed from a store emits records only for the points it actually
-    evaluated — store hits are cache entries, not decisions of this
-    run. *)
+    run ends.  Wall time is the one field that breaks byte-identity,
+    so it is off by default (opt in with [WR_LEDGER_WALL=1] or
+    [--ledger-wall]; the field is absent otherwise).  The [exact] backend's statuses are as
+    deterministic as the heuristic's: its search is bounded by node
+    counts, never by the clock.  A point's record describes its
+    one-partition config ({!Evaluate.loop_cached}), so which partition
+    count reached a memo entry first never shows.  A run resumed from
+    a store emits records only for the points it actually evaluated —
+    store hits are cache entries, not decisions of this run. *)
 
 type exact = {
   solves : int;
@@ -66,13 +67,36 @@ val point_hash :
   cycle_model:Wr_machine.Cycle_model.t ->
   Wr_ir.Loop.t ->
   int64
-(** FNV-1a 64 over a canonical rendering of the whole point input:
-    suite id, loop index, config label, register count, cycle-model
-    cycles, and the loop body itself (name, trip count, weight bits,
-    every operation, every dependence edge).  Two points hash equal
-    iff the evaluation engine would be handed the same problem, so
-    cross-run joins survive reordering, suite growth, and renumbering
-    of unrelated loops. *)
+(** FNV-1a 64 over a canonical rendering of the whole point input: a
+    header ([wrpoint/1], suite id, loop index, config label, register
+    count, cycle-model cycles) followed by the loop body
+    ({!loop_body}: name, trip count, weight bits, every operation,
+    every dependence edge).  Equal hashes imply the evaluation engine
+    was handed the same problem, so cross-run joins survive
+    reordering, suite growth, and renumbering of unrelated loops.  The
+    converse does not hold: the label's register count need not be
+    the effective [registers] (Fig. 7 passes [~registers:1_000_000]),
+    and a partition count changes the label but not the problem.
+    Equal to [point_hash_of_body ... (loop_body loop)]. *)
+
+val loop_body : Wr_ir.Loop.t -> string
+(** The body part of the rendering {!point_hash} hashes: one
+    [loop=] line, then one line per operation and per edge.  It does
+    not depend on the point, so a caller hashing many points of one
+    loop renders it once. *)
+
+val point_hash_of_body :
+  suite_id:string ->
+  index:int ->
+  config:Wr_machine.Config.t ->
+  registers:int ->
+  cycle_model:Wr_machine.Cycle_model.t ->
+  string ->
+  int64
+(** {!point_hash} given the loop's {!loop_body}: hashes the short
+    header and continues the fold over the body
+    ({!Wr_obs.Ledger.fnv1a64_fold}), so the hashed bytes, and every
+    key, are exactly {!point_hash}'s. *)
 
 (** {2 Capture} *)
 

@@ -1,11 +1,14 @@
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+(* A plain loop over a local ref: the native compiler keeps [h]
+   unboxed, so only the returned value is allocated. *)
+let fnv1a64_fold h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    let byte = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+  done;
   !h
+
+let fnv1a64 s = fnv1a64_fold 0xcbf29ce484222325L s
 
 let hex64 h = Printf.sprintf "%016Lx" h
 

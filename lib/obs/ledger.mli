@@ -25,6 +25,13 @@ val fnv1a64 : string -> int64
     also computes [Core.Provenance.point_hash], [Core.Store]'s line
     checksums and [Wr_util.Fault]'s per-point stream seeds. *)
 
+val fnv1a64_fold : int64 -> string -> int64
+(** [fnv1a64_fold h s] continues a hash [h] over the bytes of [s]:
+    FNV-1a is a streaming fold, so
+    [fnv1a64_fold (fnv1a64 a) b = fnv1a64 (a ^ b)], and a suffix shared
+    by many strings can be rendered once and folded after each prefix.
+    Allocates only its result. *)
+
 val hex64 : int64 -> string
 (** 16 lowercase hex digits, zero-padded. *)
 

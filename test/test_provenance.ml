@@ -111,6 +111,176 @@ let test_point_hash_keys_full_input () =
   Alcotest.(check bool) "index changes the hash" true (h () <> h ~index:1 ());
   Alcotest.(check bool) "suite changes the hash" true (h () <> h ~suite_id:"t" ())
 
+(* --- the point hash and the store keys ---------------------------------- *)
+
+let hex = Ledger.hex64
+
+let test_fnv1a64_known_answers () =
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" s) h (hex (Ledger.fnv1a64 s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+let test_fnv1a64_fold_streams () =
+  let s = Provenance.loop_body loops.(0) in
+  let whole = Ledger.fnv1a64 s in
+  for k = 0 to String.length s do
+    let prefix = String.sub s 0 k and rest = String.sub s k (String.length s - k) in
+    if Ledger.fnv1a64_fold (Ledger.fnv1a64 prefix) rest <> whole then
+      Alcotest.failf "folding split at offset %d differs from hashing whole" k
+  done
+
+(* Hashes computed by the earlier single-pass rendering: stores and
+   ledgers written by earlier builds must keep their keys. *)
+let test_point_hash_pinned () =
+  let sample6 = Wr_workload.Suite.sample 6 in
+  let config = Config.xwy ~registers:128 ~x:4 ~y:2 () in
+  List.iteri
+    (fun index expected ->
+      let loop = sample6.(index) in
+      let h =
+        Provenance.point_hash ~suite_id:"sample6" ~index ~config ~registers:128 ~cycle_model:cm
+          loop
+      in
+      Alcotest.(check string) (Printf.sprintf "sample6 loop %d" index) expected (hex h);
+      Alcotest.(check string) "header then body" expected
+        (hex
+           (Provenance.point_hash_of_body ~suite_id:"sample6" ~index ~config ~registers:128
+              ~cycle_model:cm (Provenance.loop_body loop))))
+    [ "2b7690cb8cee204c"; "347a4afeacb4d3ff"; "c41a2d9a7ca5e1c8" ]
+
+let with_tmp_dir f =
+  let dir = Filename.temp_file "wr-prov-test" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm (Filename.concat p e)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
+    (fun () -> f (Filename.concat dir "store"))
+
+(* Every stored key of a small study is the point hash of its point
+   (backend-mixed under a non-default backend), and nothing else is
+   stored. *)
+let check_study_keys ~suite_id ~key =
+  with_clean_state @@ fun () ->
+  with_tmp_dir @@ fun dir ->
+  let study = Array.sub loops 0 4 in
+  let configs = [ cfg; Config.xwy ~registers:32 ~x:4 ~y:1 () ] in
+  ignore (Evaluate.attach_store dir);
+  Fun.protect ~finally:Evaluate.detach_store (fun () ->
+      List.iter
+        (fun c ->
+          ignore
+            (Evaluate.suite_on ~suite_id c ~cycle_model:cm ~registers:c.Config.registers study))
+        configs);
+  let st, _ = Core.Store.open_dir dir in
+  Fun.protect ~finally:(fun () -> Core.Store.close st) @@ fun () ->
+  Alcotest.(check int) "one entry per point" (List.length configs * Array.length study)
+    (Core.Store.length st);
+  List.iter
+    (fun (c : Config.t) ->
+      Array.iteri
+        (fun index loop ->
+          let h =
+            Provenance.point_hash ~suite_id ~index ~config:c ~registers:c.Config.registers
+              ~cycle_model:cm loop
+          in
+          let r =
+            (Evaluate.loop_cached ~suite_id ~index c ~cycle_model:cm
+               ~registers:c.Config.registers loop)
+              .Evaluate.result
+          in
+          match Core.Store.find st (key h) with
+          | None -> Alcotest.failf "%s loop %d: not stored under its key" (Config.label c) index
+          | Some e ->
+              Alcotest.(check int) "stored II is the point's" r.Evaluate.ii e.Core.Store.ii)
+        study)
+    configs
+
+let test_store_keys_are_point_hashes () = check_study_keys ~suite_id:"prov-keys" ~key:Fun.id
+
+let test_store_keys_exact_backend () =
+  let saved = Wr_sched.Backend.current () in
+  Fun.protect ~finally:(fun () -> Wr_sched.Backend.set saved) @@ fun () ->
+  Wr_sched.Backend.set Wr_sched.Backend.Exact;
+  check_study_keys ~suite_id:"prov-keys-exact" ~key:(fun h ->
+      Ledger.fnv1a64 (Printf.sprintf "%Lx backend=exact" h))
+
+(* The rendered body is cached per (suite, index); a different loop
+   passed under the same name must still be keyed by its own body. *)
+let test_store_key_follows_the_loop_passed () =
+  with_clean_state @@ fun () ->
+  with_tmp_dir @@ fun dir ->
+  let c2 = Config.xwy ~registers:32 ~x:4 ~y:1 () in
+  let points = [ (cfg, loops.(0)); (c2, loops.(1)) ] in
+  ignore (Evaluate.attach_store dir);
+  Fun.protect ~finally:Evaluate.detach_store (fun () ->
+      List.iter
+        (fun ((c : Config.t), loop) ->
+          ignore
+            (Evaluate.loop_cached ~suite_id:"prov-alias" ~index:0 c ~cycle_model:cm
+               ~registers:c.Config.registers loop))
+        points);
+  let st, _ = Core.Store.open_dir dir in
+  Fun.protect ~finally:(fun () -> Core.Store.close st) @@ fun () ->
+  List.iter
+    (fun ((c : Config.t), loop) ->
+      let h =
+        Provenance.point_hash ~suite_id:"prov-alias" ~index:0 ~config:c
+          ~registers:c.Config.registers ~cycle_model:cm loop
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s stored under its own point hash" loop.Wr_ir.Loop.name)
+        true
+        (Core.Store.find st h <> None))
+    points
+
+(* Partitions reach neither the resources nor the memo key, so a memo
+   entry must not be named after whichever partition count reached it
+   first: 2w2(128:2) and 2w2(128) are one entry, one ledger record and
+   one store key, in either order. *)
+let test_partitions_do_not_name_the_entry () =
+  let parted = Config.xwy ~registers:128 ~partitions:2 ~x:2 ~y:2 () in
+  let plain = Config.xwy ~registers:128 ~x:2 ~y:2 () in
+  let eval order =
+    List.iter
+      (fun c ->
+        ignore
+          (Evaluate.loop_cached ~suite_id:"prov-parts" ~index:0 c ~cycle_model:cm
+             ~registers:128 loops.(0)))
+      order
+  in
+  let ledger order =
+    with_clean_state @@ fun () ->
+    Provenance.set_capture true;
+    eval order;
+    Provenance.records ()
+  in
+  let a = ledger [ parted; plain ] and b = ledger [ plain; parted ] in
+  Alcotest.(check int) "one record" 1 (List.length a);
+  Alcotest.(check bool) "same record in either order" true (a = b);
+  Alcotest.(check (list string)) "named by the one-partition label" [ "2w2(128)" ]
+    (List.map (fun (r : Provenance.t) -> r.Provenance.config) a);
+  let answers ~fill ~ask =
+    with_clean_state @@ fun () ->
+    with_tmp_dir @@ fun dir ->
+    ignore (Evaluate.attach_store dir);
+    Fun.protect ~finally:Evaluate.detach_store (fun () -> eval fill);
+    Evaluate.clear_cache ();
+    ignore (Evaluate.attach_store dir);
+    Fun.protect ~finally:Evaluate.detach_store @@ fun () ->
+    let before = Evaluate.evaluations () in
+    eval ask;
+    Alcotest.(check int) "answered from the store" 0 (Evaluate.evaluations () - before)
+  in
+  answers ~fill:[ parted; plain ] ~ask:[ plain; parted ];
+  answers ~fill:[ plain; parted ] ~ask:[ parted; plain ]
+
 let test_wall_opt_in () =
   with_clean_state @@ fun () ->
   Provenance.set_capture true;
@@ -307,6 +477,17 @@ let () =
             test_ledger_detects_corruption;
           Alcotest.test_case "point hash keys the full input" `Quick
             test_point_hash_keys_full_input;
+          Alcotest.test_case "fnv1a64 known answers" `Quick test_fnv1a64_known_answers;
+          Alcotest.test_case "fnv1a64 folds split strings" `Quick test_fnv1a64_fold_streams;
+          Alcotest.test_case "point hash pinned" `Quick test_point_hash_pinned;
+          Alcotest.test_case "store keys are point hashes" `Quick
+            test_store_keys_are_point_hashes;
+          Alcotest.test_case "store keys under the exact backend" `Quick
+            test_store_keys_exact_backend;
+          Alcotest.test_case "store key follows the loop passed" `Quick
+            test_store_key_follows_the_loop_passed;
+          Alcotest.test_case "partitions do not name the entry" `Quick
+            test_partitions_do_not_name_the_entry;
           Alcotest.test_case "wall time is opt-in" `Quick test_wall_opt_in;
           Alcotest.test_case "line discipline round-trips" `Quick
             test_ledger_line_roundtrip;
