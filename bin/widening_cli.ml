@@ -389,10 +389,10 @@ let endpoint_of socket port host =
 
 (* [Server.run] returns once every admitted request is answered, so
    [finish] flushes the ledger and store only after the drain. *)
-let run_serve opts socket port host queue_max request_budget_ms =
+let run_serve opts socket port host queue_max =
   let listen = endpoint_of socket port host in
   Run_options.start ~out:stderr opts;
-  (match Wr_serve.Server.run { Wr_serve.Server.listen; queue_max; request_budget_ms } with
+  (match Wr_serve.Server.run { Wr_serve.Server.listen; queue_max } with
   | () -> ()
   | exception Unix.Unix_error (e, fn, arg) ->
       Printf.eprintf "serve: %s: %s %s\n" (Unix.error_message e) fn arg;
@@ -409,28 +409,20 @@ let serve_cmd =
     Arg.(value & opt Run_options.positive Wr_serve.Server.default_queue_max
          & info [ "queue-max" ] ~docv:"N" ~doc)
   in
-  let budget_ms =
-    let doc =
-      "Default per-request deadline in milliseconds (a request's own deadline_ms field \
-       overrides it); an overrun degrades the point through the quarantine path and the \
-       reply says so."
-    in
-    Arg.(value & opt (some int) None & info [ "request-budget-ms" ] ~docv:"MS" ~doc)
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the design-space query daemon: concurrent study/point queries over a \
              Unix or TCP socket, with duplicate-request coalescing, bounded admission \
-             with explicit load shedding, per-request deadlines, and an optional \
-             crash-safe persistent result store for zero-re-evaluation warm starts. \
+             with explicit load shedding, and an optional crash-safe persistent result \
+             store for zero-re-evaluation warm starts.  Every evaluation runs to \
+             completion; clients bound their own wait (query --timeout-ms). \
              SIGTERM/SIGINT drain gracefully.")
-    Term.(const run_serve $ Run_options.term $ socket_arg $ port_arg $ host_arg $ queue_max
-          $ budget_ms)
+    Term.(const run_serve $ Run_options.term $ socket_arg $ port_arg $ host_arg $ queue_max)
 
 let query_ops = [ ("point", `Point); ("suite", `Suite); ("health", `Health); ("shutdown", `Shutdown) ]
 
-let run_query op socket port host suite index config_str cycles registers deadline_ms id
-    timeout_ms retries base_ms max_ms =
+let run_query op socket port host suite index config_str cycles registers id timeout_ms
+    retries base_ms max_ms =
   let module P = Wr_serve.Protocol in
   let module J = Core.Bench_schema in
   let target = (endpoint_of socket port host :> Wr_serve.Client.target) in
@@ -438,9 +430,8 @@ let run_query op socket port host suite index config_str cycles registers deadli
     match op with
     | `Health -> P.req_health ?id ()
     | `Shutdown -> P.req_shutdown ?id ()
-    | `Point ->
-        P.req_eval ?id ?registers ?cycles ?deadline_ms ~suite ~index ~config:config_str ()
-    | `Suite -> P.req_suite ?id ?registers ?cycles ?deadline_ms ~suite ~config:config_str ()
+    | `Point -> P.req_eval ?id ?registers ?cycles ~suite ~index ~config:config_str ()
+    | `Suite -> P.req_suite ?id ?registers ?cycles ~suite ~config:config_str ()
   in
   (* Seed the backoff jitter from the pid so a herd of concurrent
      clients retrying against a busy server desynchronizes. *)
@@ -503,18 +494,16 @@ let query_cmd =
          & info [ "registers" ] ~docv:"N"
              ~doc:"Register file size; defaults to the configuration's.")
   in
-  let deadline =
-    Arg.(value & opt (some int) None
-         & info [ "deadline-ms" ] ~docv:"MS"
-             ~doc:"Per-request deadline; an overrun degrades the point server-side.")
-  in
   let id =
     Arg.(value & opt (some string) None
          & info [ "id" ] ~docv:"ID" ~doc:"Request id echoed back in the reply.")
   in
   let timeout =
-    Arg.(value & opt int 30000
-         & info [ "timeout-ms" ] ~docv:"MS" ~doc:"Socket connect/read timeout per attempt.")
+    Arg.(value & opt Run_options.positive 30000
+         & info [ "timeout-ms" ] ~docv:"MS"
+             ~doc:"Socket connect/read timeout per attempt; the only bound on the wait.  A \
+                   timed-out evaluation keeps running on the server, and a retry joins \
+                   it or reads its memoized result.")
   in
   let retries =
     Arg.(value & opt Run_options.positive 5
@@ -537,7 +526,7 @@ let query_cmd =
              success, 2 on a definitive server or connection error, 4 when the server was \
              still shedding load after every retry.")
     Term.(const run_query $ op $ socket_arg $ port_arg $ host_arg $ suite $ index $ config
-          $ cycles $ registers $ deadline $ id $ timeout $ retries $ base $ cap)
+          $ cycles $ registers $ id $ timeout $ retries $ base $ cap)
 
 let store_cmd =
   let action =

@@ -5,7 +5,6 @@ type t = {
   store : string option;
   backend : Wr_sched.Backend.kind option;
   strict : bool;
-  loop_budget_ms : int option;
   ledger : string option;
   trace : string option;
   metrics : string option;
@@ -89,14 +88,6 @@ let strict =
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
 
-let loop_budget_ms =
-  let doc =
-    "Wall-clock budget per loop evaluation in milliseconds, enforced cooperatively at \
-     scheduler and spill boundaries; an overrun degrades the point to the unpipelined \
-     fallback and quarantines it."
-  in
-  Arg.(value & opt (some positive) None & info [ "loop-budget-ms" ] ~docv:"MS" ~doc)
-
 let ledger =
   let doc =
     "Record one provenance record per evaluated point (content hash, II vs MII, backend, \
@@ -128,12 +119,11 @@ let term =
   and+ store = store
   and+ backend = backend
   and+ strict = strict
-  and+ loop_budget_ms = loop_budget_ms
   and+ ledger = ledger
   and+ trace = trace
   and+ metrics = metrics in
   let store = match store with Some "" -> None | s -> s in
-  { jobs; store; backend; strict; loop_budget_ms; ledger; trace; metrics }
+  { jobs; store; backend; strict; ledger; trace; metrics }
 
 let sample =
   let doc = "Evaluate on a deterministic N-loop subsample of the 1180-loop suite." in
@@ -147,7 +137,6 @@ let start ~out t =
   Option.iter Wr_util.Pool.set_default_jobs t.jobs;
   Option.iter Wr_sched.Backend.set t.backend;
   if t.strict then Core.Evaluate.set_strict true;
-  Core.Evaluate.set_loop_budget_ms t.loop_budget_ms;
   if t.ledger <> None then Core.Provenance.set_capture true;
   Option.iter
     (fun dir ->

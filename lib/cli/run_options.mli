@@ -12,7 +12,6 @@ type t = {
   store : string option;  (** [--store], else [WR_STORE]; empty means none *)
   backend : Wr_sched.Backend.kind option;  (** [--backend] *)
   strict : bool;  (** [--strict]: fail fast instead of quarantining *)
-  loop_budget_ms : int option;  (** [--loop-budget-ms] *)
   ledger : string option;  (** [--ledger]: provenance ledger file *)
   trace : string option;  (** [--trace]: Chrome trace-event file *)
   metrics : string option;  (** [--metrics]: telemetry snapshot file *)

@@ -67,14 +67,6 @@ let strict_flag = Atomic.make (Wr_util.Env.bool "WR_STRICT" ~default:false)
 
 let set_strict b = Atomic.set strict_flag b
 
-(* Per-loop wall-clock budget in milliseconds; 0 means unbudgeted. *)
-let loop_budget = Atomic.make 0
-
-let set_loop_budget_ms = function
-  | None -> Atomic.set loop_budget 0
-  | Some ms when ms > 0 -> Atomic.set loop_budget ms
-  | Some ms -> invalid_arg (Printf.sprintf "Evaluate.set_loop_budget_ms: %d <= 0" ms)
-
 type quarantine_record = {
   q_suite : string;
   q_index : int;
@@ -466,13 +458,13 @@ let result_of_store_entry (e : Store.entry) =
   }
 
 (* Paper-faithful degradation: when an evaluation dies (injected fault,
-   budget overrun, scheduler bug), the point becomes what a real
-   compiler ships when it gives up — the loop compiled without software
-   pipelining.  Computed by pure arithmetic over the UNwidened body (no
-   scheduler call: the degrade path must not be able to fail itself),
-   so it slightly over-costs the fallback relative to the list-schedule
-   span used on the normal Unschedulable path; quarantined points are
-   flagged, never silently mixed in as exact. *)
+   scheduler bug), the point becomes what a real compiler ships when it
+   gives up — the loop compiled without software pipelining.  Computed
+   by pure arithmetic over the UNwidened body (no scheduler call: the
+   degrade path must not be able to fail itself), so it slightly
+   over-costs the fallback relative to the list-schedule span used on
+   the normal Unschedulable path; quarantined points are flagged, never
+   silently mixed in as exact. *)
 let degraded_result ~cycle_model ~registers (loop : Loop.t) =
   let span = sequential_cost ~cycle_model loop.Loop.ddg in
   {
@@ -602,23 +594,20 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
           { result = memo_add key r; source = Store }
       | None ->
       (* Supervision: the whole widen/schedule/allocate pipeline for
-         this one point runs under the point's fault-injection context
-         and (if set) wall-clock budget.  The context string doubles as
-         the deterministic seed component for Wr_util.Fault, which is
-         why it is the cache key, not the pool task id: the same point
-         draws the same fault stream at any pool size. *)
+         this one point runs under the point's fault-injection context.
+         The context string doubles as the deterministic seed component
+         for Wr_util.Fault, which is why it is the cache key, not the
+         pool task id: the same point draws the same fault stream at any
+         pool size.  No clock bounds the run: every stage is bounded by
+         work, so a point's result never depends on how fast the host
+         ran it. *)
       let context =
         Printf.sprintf "%s|%d|%s|%d|%d" suite_id index (Config.label c) registers
           (Cycle_model.cycles cycle_model)
       in
       let evaluate () =
-        let plan_key = Some (suite_id, index) in
         Wr_util.Fault.with_context context (fun () ->
-            match Atomic.get loop_budget with
-            | 0 -> traced_loop_on ~plan_key c ~cycle_model ~registers loop
-            | ms ->
-                Wr_util.Deadline.with_budget_ms ms (fun () ->
-                    traced_loop_on ~plan_key c ~cycle_model ~registers loop))
+            traced_loop_on ~plan_key:(Some (suite_id, index)) c ~cycle_model ~registers loop)
       in
       let wall = cap && Provenance.wall_enabled () in
       let t0 = if wall then Obs.now_ns () else 0 in

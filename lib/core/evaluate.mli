@@ -132,25 +132,19 @@ val verified_points : unit -> int
 
 (** {2 Supervision}
 
-    A loop evaluation that raises (an injected fault, a cooperative
-    budget overrun, a latent scheduler bug) does not kill the study: by
-    default the point degrades to the paper's "compiler gives up"
-    unpipelined fallback — costed by pure arithmetic over the unwidened
-    body, so the degrade path itself cannot fail — and a quarantine
-    record is kept for the end-of-run report.  [Out_of_memory] is never
-    absorbed.  Strict mode ([WR_STRICT], or [--strict] in the drivers)
-    restores fail-fast. *)
+    A loop evaluation that raises (an injected fault, a latent
+    scheduler bug) does not kill the study: by default the point
+    degrades to the paper's "compiler gives up" unpipelined fallback —
+    costed by pure arithmetic over the unwidened body, so the degrade
+    path itself cannot fail — and a quarantine record is kept for the
+    end-of-run report.  [Out_of_memory] is never absorbed.  Strict mode
+    ([WR_STRICT], or [--strict] in the drivers) restores fail-fast.
+    No wall-clock bound applies: every stage is bounded by work, so a
+    slow evaluation is never degraded. *)
 
 val set_strict : bool -> unit
 (** Toggle fail-fast.  Initialized from the [WR_STRICT] environment
     variable. *)
-
-val set_loop_budget_ms : int option -> unit
-(** Wall-clock budget per loop evaluation, enforced cooperatively at
-    II-escalation, scheduler-attempt, and spill-round boundaries (see
-    {!Wr_util.Deadline}); an overrun degrades the point through the
-    quarantine path.  [None] (the default) disables the budget; raises
-    [Invalid_argument] on a non-positive budget. *)
 
 type quarantine_record = {
   q_suite : string;

@@ -43,7 +43,6 @@ let probe resource ~cycle_model ~min_ii g =
 let escalate resource ~cycle_model ~registers ~lo ~cap g =
   Obs.span "driver/escalate" @@ fun () ->
   let fits_at ii =
-    Wr_util.Deadline.check ();
     let result, _, alloc = probe resource ~cycle_model ~min_ii:ii g in
     if Alloc.fits alloc ~available:registers then Some (result, alloc) else None
   in
@@ -54,9 +53,14 @@ let escalate resource ~cycle_model ~registers ~lo ~cap g =
          here after probing at lo (the MII-anchored first schedule) and
          finding it does not fit, so lo itself is known-failed and the
          smallest candidate worth probing is lo+1.  The probe at cap
-         above anchors the other end: fits_at is monotone in II (more
-         slack, fewer overlapped lifetimes), so a fit at cap guarantees
-         the search converges on the smallest fitting II. *)
+         anchors the other end.  The search assumes fits_at is monotone
+         in II (more slack, fewer overlapped lifetimes), and scheduler
+         noise breaks that: a fit can be followed by a non-fit a few
+         IIs higher.  The answer then fits but is not always the
+         smallest fitting II, and a failed cap probe can hide a smaller
+         fit (full suite, 32 registers: 71 larger answers and 36 failed
+         caps).  ROADMAP.md's "II escalation must return the smallest
+         II that fits" tracks the fix. *)
       let best = ref best in
       let lo = ref (lo + 1) and hi = ref cap in
       while !lo < !hi do
@@ -77,9 +81,6 @@ let spill_loop resource ~cycle_model ~registers ~max_rounds g =
   let spilled_ever = Hashtbl.create 16 in
   let reload_regs = Hashtbl.create 16 in
   let rec iterate g round stores loads prev_required stall =
-    (* Spill-round boundary: a budgeted loop bails out between rounds,
-       never mid-reschedule. *)
-    Wr_util.Deadline.check ();
     let result, lifetimes, alloc = probe resource ~cycle_model ~min_ii:1 g in
     if Alloc.fits alloc ~available:registers then begin
       if Obs.enabled () then Obs.observe "spill/rounds_to_fit" round;

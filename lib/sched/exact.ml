@@ -275,10 +275,6 @@ let min_ii resource ~cycle_model ?max_nodes g =
   let n = Ddg.num_ops g in
   let scratch = Array.make_matrix n n neg_inf in
   let rec go ii attempts_left =
-    (* Scheduler-attempt boundary: each at_ii call is already bounded
-       by max_nodes, so a wall-clock budget only needs to fire between
-       attempts. *)
-    Wr_util.Deadline.check ();
     if attempts_left = 0 then None
     else
       match at_ii resource ~cycle_model ~ii ?max_nodes ~scratch g with
@@ -330,9 +326,6 @@ let solve resource ~cycle_model ?(max_nodes = 200_000) ?min_ii:minimum ?max_ii ?
     let scratch = Array.make_matrix n n neg_inf in
     let nodes = ref 0 in
     let rec go ii all_refuted =
-      (* The supervision budget fires at II boundaries; the node
-         budget is what bounds the exact search itself. *)
-      Wr_util.Deadline.check ();
       if ii >= hii then
         if all_refuted then
           (* Every II below the heuristic's refuted: proved optimal. *)

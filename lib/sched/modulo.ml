@@ -361,9 +361,6 @@ let run resource ~cycle_model ?(budget_ratio = 8) ?(min_ii = 1) ?max_ii ?(orderi
     let total_placements = ref 0 in
     let total_evictions = ref 0 in
     let rec loop ii =
-      (* II-escalation boundary: a budgeted evaluation gives up here,
-         between self-contained attempts. *)
-      Wr_util.Deadline.check ();
       if ii > max_ii then
         failwith
           (Printf.sprintf "Modulo.run: no schedule found up to II=%d (%d ops)" max_ii n)

@@ -8,7 +8,6 @@ type point = {
   config : Config.t;
   registers : int;
   cycle_model : Cycle_model.t;
-  deadline_ms : int option;
 }
 
 type request =
@@ -62,15 +61,15 @@ let parse_point v =
         | Some m -> Ok m
         | None -> Error (Printf.sprintf "no cycle model with %d cycles" n))
   in
-  let* deadline_ms = int_field "deadline_ms" v in
-  let* () =
-    match deadline_ms with
-    | Some ms when ms <= 0 -> Error "field \"deadline_ms\" must be positive"
-    | _ -> Ok ()
-  in
-  if registers < 1 then Error "field \"registers\" must be positive"
+  (* Its sender believes the server bounds its wait; it does not, so
+     say so rather than ignore the field. *)
+  if opt_member "deadline_ms" v <> None then
+    Error
+      "field \"deadline_ms\" is not supported: the server sets no deadline; bound the \
+       wait on the client (query --timeout-ms)"
+  else if registers < 1 then Error "field \"registers\" must be positive"
   else if index < 0 then Error "field \"index\" must be non-negative"
-  else Ok { suite; index; config; registers; cycle_model; deadline_ms }
+  else Ok { suite; index; config; registers; cycle_model }
 
 let parse_request line =
   match J.parse line with
@@ -162,20 +161,17 @@ let shutdown_reply ~id =
 let opt_field key v fields =
   match v with Some n -> (key, J.int n) :: fields | None -> fields
 
-let req_point_fields ?id ?registers ?cycles ?deadline_ms ~op ~suite ~config fields =
-  let fields =
-    opt_field "registers" registers (opt_field "cycles" cycles (opt_field "deadline_ms" deadline_ms fields))
-  in
+let req_point_fields ?id ?registers ?cycles ~op ~suite ~config fields =
+  let fields = opt_field "registers" registers (opt_field "cycles" cycles fields) in
   let fields = ("suite", J.Str suite) :: ("config", J.Str config) :: fields in
   let fields = ("op", J.Str op) :: fields in
   render (match id with Some s -> ("id", J.Str s) :: fields | None -> fields)
 
-let req_eval ?id ?registers ?cycles ?deadline_ms ~suite ~index ~config () =
-  req_point_fields ?id ?registers ?cycles ?deadline_ms ~op:"eval" ~suite ~config
-    [ ("index", J.int index) ]
+let req_eval ?id ?registers ?cycles ~suite ~index ~config () =
+  req_point_fields ?id ?registers ?cycles ~op:"eval" ~suite ~config [ ("index", J.int index) ]
 
-let req_suite ?id ?registers ?cycles ?deadline_ms ~suite ~config () =
-  req_point_fields ?id ?registers ?cycles ?deadline_ms ~op:"suite" ~suite ~config []
+let req_suite ?id ?registers ?cycles ~suite ~config () =
+  req_point_fields ?id ?registers ?cycles ~op:"suite" ~suite ~config []
 
 let req_health ?id () = render (with_id id [ ("op", J.Str "health") ])
 

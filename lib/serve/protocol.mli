@@ -14,9 +14,11 @@
     v}
 
     [eval] and [suite] accept optional [registers] (default: the
-    config's register count), [cycles] (cycle-model cycles; default:
-    the access-time model of the config) and [deadline_ms] (per-request
-    evaluation budget, see {!Wr_util.Deadline}).
+    config's register count) and [cycles] (cycle-model cycles; default:
+    the access-time model of the config).  There is no server-side
+    deadline: a client bounds its own wait, and a request that still
+    carries the per-request deadline field of older clients is
+    rejected with an error naming the field.
 
     Replies always carry ["ok"] ([true]/[false]) and the echoed [id].
     Failure replies are distinguished by ["busy"]: [true] means the
@@ -37,7 +39,6 @@ type point = {
   config : Wr_machine.Config.t;
   registers : int;
   cycle_model : Wr_machine.Cycle_model.t;
-  deadline_ms : int option;
 }
 
 type request =
@@ -84,7 +85,6 @@ val req_eval :
   ?id:string ->
   ?registers:int ->
   ?cycles:int ->
-  ?deadline_ms:int ->
   suite:string ->
   index:int ->
   config:string ->
@@ -95,7 +95,6 @@ val req_suite :
   ?id:string ->
   ?registers:int ->
   ?cycles:int ->
-  ?deadline_ms:int ->
   suite:string ->
   config:string ->
   unit ->

@@ -7,11 +7,7 @@ module P = Protocol
 
 type listen = [ `Unix of string | `Tcp of string * int ]
 
-type config = {
-  listen : listen;
-  queue_max : int;
-  request_budget_ms : int option;
-}
+type config = { listen : listen; queue_max : int }
 
 let default_queue_max = 64
 
@@ -236,35 +232,24 @@ let reader t conn =
 
 (* --- evaluation -------------------------------------------------------- *)
 
-let with_budget t (p : P.point) f =
-  match (p.P.deadline_ms, t.cfg.request_budget_ms) with
-  | Some ms, _ | None, Some ms ->
-      (* Installed inside the pool task: tasks of one domain run
-         sequentially, so the domain-local deadline slot is save/
-         restored correctly even with nested budgets. *)
-      Wr_util.Deadline.with_budget_ms ms f
-  | None, None -> f ()
-
 let process t { id; p; work; conn } =
   let outcome =
     (* A strict-mode failure (or any bug outside the quarantine net)
        becomes an error reply on this request; the server survives. *)
     try
-      Ok
-        (with_budget t p (fun () ->
-             match work with
-             | Point (loop, _) ->
-                 let a =
-                   Evaluate.loop_cached ~suite_id:p.P.suite ~index:p.P.index p.P.config
-                     ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop
-                 in
-                 fun ~coalesced id -> P.eval_reply ~id ~coalesced a
-             | Agg loops ->
-                 let a =
-                   Evaluate.suite_on ~suite_id:p.P.suite p.P.config
-                     ~cycle_model:p.P.cycle_model ~registers:p.P.registers loops
-                 in
-                 fun ~coalesced:_ id -> P.suite_reply ~id a))
+      match work with
+      | Point (loop, _) ->
+          let a =
+            Evaluate.loop_cached ~suite_id:p.P.suite ~index:p.P.index p.P.config
+              ~cycle_model:p.P.cycle_model ~registers:p.P.registers loop
+          in
+          Ok (fun ~coalesced id -> P.eval_reply ~id ~coalesced a)
+      | Agg loops ->
+          let a =
+            Evaluate.suite_on ~suite_id:p.P.suite p.P.config ~cycle_model:p.P.cycle_model
+              ~registers:p.P.registers loops
+          in
+          Ok (fun ~coalesced:_ id -> P.suite_reply ~id a)
     with
     | Out_of_memory -> raise Out_of_memory
     | e -> Error (Printexc.to_string e)

@@ -26,11 +26,14 @@
        index and machine point) attaches to it as a waiter (without
        consuming an admission slot) and receives the same answer,
        marked [coalesced]; duplicate traffic costs one evaluation.}
-    {- {b Deadlines}: a request's [deadline_ms] (or the server-wide
-       [request_budget_ms]) becomes a {!Wr_util.Deadline} budget
-       installed inside the pool task; an overrun degrades that point
-       through {!Core.Evaluate}'s quarantine path — the reply says
-       [degraded], the server keeps running.}
+    {- {b Waiting is the client's}: the server sets no timer.  Every
+       evaluation is bounded by work, not by the clock, and runs to
+       completion; its result fills the memo and, when clean, the
+       store.  A client
+       bounds its own wait ({!Client.round_trip}'s [timeout_ms]); a
+       retry after a timeout coalesces onto the evaluation still
+       running, or hits the memo entry it filled.  A request that
+       asks the server for a deadline is rejected (see {!Protocol}).}
     {- {b Quarantine, not crash}: any exception inside an evaluation
        is absorbed exactly as [Evaluate.loop_cached] absorbs it
        (strict mode excepted); an exception anywhere else in request
@@ -56,7 +59,6 @@ type listen = [ `Unix of string | `Tcp of string * int ]
 type config = {
   listen : listen;
   queue_max : int;  (** outstanding-request bound; excess is shed *)
-  request_budget_ms : int option;  (** default per-request deadline *)
 }
 
 val default_queue_max : int

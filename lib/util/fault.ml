@@ -84,11 +84,12 @@ let with_context key f =
   slot := Some { ctx_hash = Wr_obs.Ledger.fnv1a64 key; streams = Hashtbl.create 4 };
   Fun.protect ~finally:(fun () -> slot := saved) f
 
-(* Spin rather than sleep: the point of a delay fault is to burn the
-   loop's wall-clock budget, and Wr_util must stay Unix-free. *)
+(* Spin rather than sleep: a delay fault stands for a slow evaluation,
+   which keeps its domain busy.  Tests use it to overlap requests and
+   to show that slowness never changes a result. *)
 let spin_ms ms =
-  let deadline = Obs.now_ns () + (ms * 1_000_000) in
-  while Obs.now_ns () < deadline do
+  let stop = Obs.now_ns () + (ms * 1_000_000) in
+  while Obs.now_ns () < stop do
     Domain.cpu_relax ()
   done
 

@@ -41,16 +41,16 @@ let test_positive_rejects_zero () =
     (fun args ->
       Alcotest.(check bool) (String.concat " " args ^ " rejected") true (parse args = None))
     [
-      [ "--jobs"; "0" ]; [ "-j"; "0" ]; [ "--loop-budget-ms"; "0" ]; [ "-s"; "0" ];
-      [ "--jobs"; "-2" ]; [ "--jobs"; "two" ];
+      [ "--jobs"; "0" ]; [ "-j"; "0" ]; [ "-s"; "0" ]; [ "--jobs"; "-2" ]; [ "--jobs"; "two" ];
+      (* No option sets a wall-clock budget, whatever its value. *)
+      [ "--loop-budget-ms"; "5" ];
     ];
   let conv = Arg.conv_parser Run_options.positive in
   Alcotest.(check bool) "0 is not positive" true (Result.is_error (conv "0"));
   Alcotest.(check bool) "1 is positive" true (conv "1" = Ok 1);
-  match parse [ "--jobs"; "3"; "--loop-budget-ms"; "50"; "-s"; "7" ] with
+  match parse [ "--jobs"; "3"; "-s"; "7" ] with
   | Some (o, s) ->
       Alcotest.(check (option int)) "jobs" (Some 3) o.Run_options.jobs;
-      Alcotest.(check (option int)) "budget" (Some 50) o.Run_options.loop_budget_ms;
       Alcotest.(check (option int)) "sample" (Some 7) s
   | None -> Alcotest.fail "positive values rejected"
 

@@ -1,7 +1,8 @@
 (* The query service end to end: wire protocol, backoff/retry policy,
    single-writer lockfiles, and a live server exercised over a Unix
    socket — answer sources (fresh/memo/store), duplicate coalescing,
-   bounded admission with explicit shedding, and graceful drain. *)
+   bounded admission with explicit shedding, client-side timeouts that
+   never degrade a point, and graceful drain. *)
 
 module J = Core.Bench_schema
 module P = Wr_serve.Protocol
@@ -20,7 +21,6 @@ let contains hay needle =
 let clean () =
   Fault.configure [];
   Evaluate.set_strict false;
-  Evaluate.set_loop_budget_ms None;
   Evaluate.detach_store ();
   Evaluate.reset_quarantine ();
   Evaluate.clear_cache ()
@@ -52,15 +52,13 @@ let parse_ok line =
 
 let test_protocol_roundtrip () =
   let line =
-    P.req_eval ~id:"r1" ~registers:32 ~cycles:4 ~deadline_ms:50 ~suite:"sample7" ~index:3
-      ~config:"4w2(64)" ()
+    P.req_eval ~id:"r1" ~registers:32 ~cycles:4 ~suite:"sample7" ~index:3 ~config:"4w2(64)" ()
   in
   (match parse_ok line with
   | { P.id = Some "r1"; req = P.Eval p } ->
       Alcotest.(check string) "suite" "sample7" p.P.suite;
       Alcotest.(check int) "index" 3 p.P.index;
       Alcotest.(check int) "registers" 32 p.P.registers;
-      Alcotest.(check (option int)) "deadline" (Some 50) p.P.deadline_ms;
       Alcotest.(check int) "cycles" 4 (Wr_machine.Cycle_model.cycles p.P.cycle_model)
   | _ -> Alcotest.fail "wrong eval envelope");
   (match parse_ok (P.req_suite ~suite:"full" ~config:"2w2(64)" ()) with
@@ -82,6 +80,11 @@ let test_protocol_defaults () =
         (Wr_machine.Cycle_model.cycles p.P.cycle_model)
   | _ -> Alcotest.fail "wrong envelope"
 
+(* The server sets no deadline, so a request asking for one is
+   refused rather than silently unbounded. *)
+let deadline_line =
+  {|{"op":"eval","suite":"sample6","index":1,"config":"4w2(128)","cycles":4,"deadline_ms":10}|}
+
 let test_protocol_rejects () =
   List.iter
     (fun line ->
@@ -96,6 +99,7 @@ let test_protocol_rejects () =
       {|{"op":"eval","suite":"full"}|};
       {|{"op":"eval","suite":"full","index":0,"config":"9q9"}|};
       {|{"op":"eval","suite":"full","index":0,"config":"4w2(64)","cycles":7}|};
+      deadline_line;
     ];
   (* The id survives a bad request so the error reply can be matched. *)
   match P.parse_request {|{"op":"eval","id":"x7"}|} with
@@ -215,7 +219,7 @@ let tmp_sock () =
 let start_server ?(queue_max = Server.default_queue_max) ?store () =
   let sock = tmp_sock () in
   Option.iter (fun dir -> ignore (Evaluate.attach_store dir)) store;
-  let cfg = { Server.listen = `Unix sock; queue_max; request_budget_ms = None } in
+  let cfg = { Server.listen = `Unix sock; queue_max } in
   let th = Thread.create Server.run cfg in
   let rec wait n =
     if Sys.file_exists sock then ()
@@ -316,6 +320,35 @@ let test_server_degraded_memo_hit () =
   Alcotest.(check string) "same result bytes" (result_line r1) (result_line r2);
   stop_server sock th
 
+let test_server_deadline_never_degrades () =
+  with_clean_state @@ fun () ->
+  Fault.configure
+    [ { Fault.site = "widen"; prob = 1.0; seed = 1L; action = Fault.Delay_ms 50 } ];
+  let sock, th = start_server () in
+  let point i = P.req_eval ~suite:"sample6" ~index:i ~config:"4w2(128)" ~cycles:4 () in
+  let refused = Client.query (`Unix sock) ~timeout_ms:20000 ~attempts:1 deadline_line in
+  (* The client's timeout bounds only its wait: the evaluation runs on
+     and fills the memo with a clean result. *)
+  (match Client.round_trip (`Unix sock) ~timeout_ms:10 (point 2) with
+  | Error (Client.Io _) -> ()
+  | Ok line -> Alcotest.failf "point 2 answered within 10ms: %s" line
+  | Error e -> Alcotest.failf "unexpected error class: %s" (Client.error_message e));
+  List.iter
+    (fun i ->
+      let r = query_ok sock (point i) in
+      Alcotest.(check bool) (Printf.sprintf "point %d clean" i) true
+        (J.member "degraded" r = Some (J.Bool false)))
+    [ 1; 2 ];
+  Alcotest.(check int) "nothing quarantined" 0 (Evaluate.quarantined_count ());
+  (* Checked last: a server that honoured the field would degrade
+     point 1, and that harm is what the checks above catch. *)
+  (match refused with
+  | Error (Client.Remote msg) ->
+      Alcotest.(check bool) "refusal names the field" true (contains msg "deadline_ms")
+  | Ok _ -> Alcotest.fail "a request carrying a deadline was served"
+  | Error e -> Alcotest.failf "unexpected error class: %s" (Client.error_message e));
+  stop_server sock th
+
 let test_server_coalesces_duplicates () =
   with_clean_state @@ fun () ->
   (* Slow evaluation down so concurrent duplicates overlap in flight. *)
@@ -414,6 +447,8 @@ let () =
             test_server_store_warm_start;
           Alcotest.test_case "degraded memo hit stays degraded" `Quick
             test_server_degraded_memo_hit;
+          Alcotest.test_case "a deadline never degrades a point" `Quick
+            test_server_deadline_never_degrades;
           Alcotest.test_case "duplicate requests coalesce" `Quick
             test_server_coalesces_duplicates;
           Alcotest.test_case "overload sheds explicitly" `Quick
