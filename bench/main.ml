@@ -7,8 +7,12 @@
      dune exec bench/main.exe fig3            -- one experiment
      dune exec bench/main.exe all -s 200      -- subsampled suite (faster)
      dune exec bench/main.exe fig3 --jobs 4   -- evaluation pool of 4 domains
+     dune exec bench/main.exe fig3 --verify   -- check every point with the oracles
      dune exec bench/main.exe report LEDGER   -- ledger dashboard (also diff, validate)
-     dune exec bench/main.exe -- --help       -- every option *)
+     dune exec bench/main.exe -- --help       -- every option
+
+   Every run setting is one of these options; the environment sets
+   none of them (WR_FAULT's fault injection aside). *)
 
 open Cmdliner
 module Config = Wr_machine.Config
@@ -118,8 +122,6 @@ let ( run_options,
       selected,
       sample_size,
       csv_dir,
-      verify_flag,
-      ledger_wall,
       fuzz_cases,
       fuzz_seed,
       backend_diff ) =
@@ -133,18 +135,6 @@ let ( run_options,
   let csv =
     Arg.(value & opt (some string) None
          & info [ "csv" ] ~docv:"DIR" ~doc:"Write each experiment's table as DIR/ID.csv.")
-  in
-  let verify =
-    Arg.(value & flag
-         & info [ "verify" ]
-             ~doc:"Re-derive every evaluated point with the independent oracles (also the \
-                   WR_VERIFY environment variable).")
-  in
-  let ledger_wall =
-    Arg.(value & flag
-         & info [ "ledger-wall" ]
-             ~doc:"Record per-point wall times in the --ledger records (breaks the ledger's \
-                   byte identity across runs).")
   in
   let cases =
     Arg.(value & opt Run_options.positive 200
@@ -163,12 +153,10 @@ let ( run_options,
     and+ id = experiment
     and+ sample = Run_options.sample
     and+ csv = csv
-    and+ verify = verify
-    and+ wall = ledger_wall
     and+ cases = cases
     and+ seed = seed
     and+ diff = backend_diff in
-    (opts, id, sample, csv, verify, wall, cases, seed, diff)
+    (opts, id, sample, csv, cases, seed, diff)
   in
   let man =
     [
@@ -183,12 +171,6 @@ let ( run_options,
   | Ok (`Help | `Version) -> exit 0
   | Error (`Parse | `Term) -> exit 1
   | Error `Exn -> exit 2
-
-let () = if verify_flag then Core.Evaluate.set_verify true
-
-(* Wall times stay off unless explicitly requested (they break ledger
-   byte-identity). *)
-let () = if ledger_wall then Core.Provenance.set_wall true
 
 let () = Run_options.start ~out:stdout run_options
 

@@ -5,7 +5,9 @@ type t = {
   store : string option;
   backend : Wr_sched.Backend.kind option;
   strict : bool;
+  verify : bool;
   ledger : string option;
+  ledger_wall : bool;
   trace : string option;
   metrics : string option;
 }
@@ -46,9 +48,9 @@ let out_file =
 
 let jobs =
   let doc =
-    "Size of the domain pool used for parallel evaluation (also the WR_JOBS environment \
-     variable; defaults to the number of cores).  The results are bit-identical for any \
-     value; 1 forces fully sequential evaluation."
+    "Size of the domain pool used for parallel evaluation (defaults to the number of \
+     cores).  The results are bit-identical for any value; 1 forces fully sequential \
+     evaluation."
   in
   Arg.(value & opt (some positive) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -62,16 +64,12 @@ let store =
      torn tails and corrupt segments are recovered on open) and single-writer (a stale lock \
      from a killed process is broken automatically).  An empty DIR means no store."
   in
-  (* The fallback lets a warm cache follow a user across invocations
-     without repeating the flag. *)
-  let env = Cmd.Env.info "WR_STORE" in
-  Arg.(value & opt (some store_dir) None & info [ "store" ] ~env ~docv:"DIR" ~doc)
+  Arg.(value & opt (some store_dir) None & info [ "store" ] ~docv:"DIR" ~doc)
 
 let backend =
   let doc =
     "Modulo-scheduler backend: $(b,heuristic) (the HRMS-style default) or $(b,exact) \
-     (branch-and-bound refinement of the heuristic schedule).  Also the WR_SCHED_BACKEND \
-     environment variable."
+     (branch-and-bound refinement of the heuristic schedule)."
   in
   let parse s =
     match Wr_sched.Backend.of_string s with
@@ -84,18 +82,29 @@ let backend =
 let strict =
   let doc =
     "Fail fast: a loop evaluation that raises aborts the run instead of degrading the point \
-     to the unpipelined fallback (also the WR_STRICT environment variable)."
+     to the unpipelined fallback."
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
+
+let verify =
+  let doc = "Re-derive every evaluated point with the independent oracles." in
+  Arg.(value & flag & info [ "verify" ] ~doc)
 
 let ledger =
   let doc =
     "Record one provenance record per evaluated point (content hash, II vs MII, backend, \
      spill traffic, oracle verdict, quarantine tag) and write them as a checksummed run \
      ledger at FILE — the input of $(b,bench) $(b,report)/$(b,diff).  Byte-identical for \
-     any --jobs; per-point wall times are opt-in via WR_LEDGER_WALL=1."
+     any --jobs; per-point wall times are opt-in via --ledger-wall."
   in
   Arg.(value & opt (some out_file) None & info [ "ledger" ] ~docv:"FILE" ~doc)
+
+let ledger_wall =
+  let doc =
+    "Record per-point wall times in the --ledger records (breaks the ledger's byte identity \
+     across runs)."
+  in
+  Arg.(value & flag & info [ "ledger-wall" ] ~doc)
 
 let trace =
   let doc =
@@ -119,11 +128,13 @@ let term =
   and+ store = store
   and+ backend = backend
   and+ strict = strict
+  and+ verify = verify
   and+ ledger = ledger
+  and+ ledger_wall = ledger_wall
   and+ trace = trace
   and+ metrics = metrics in
   let store = match store with Some "" -> None | s -> s in
-  { jobs; store; backend; strict; ledger; trace; metrics }
+  { jobs; store; backend; strict; verify; ledger; ledger_wall; trace; metrics }
 
 let sample =
   let doc = "Evaluate on a deterministic N-loop subsample of the 1180-loop suite." in
@@ -137,7 +148,9 @@ let start ~out t =
   Option.iter Wr_util.Pool.set_default_jobs t.jobs;
   Option.iter Wr_sched.Backend.set t.backend;
   if t.strict then Core.Evaluate.set_strict true;
+  if t.verify then Core.Evaluate.set_verify true;
   if t.ledger <> None then Core.Provenance.set_capture true;
+  if t.ledger_wall then Core.Provenance.set_wall true;
   Option.iter
     (fun dir ->
       match Core.Evaluate.attach_store dir with

@@ -5,14 +5,19 @@
     The path options are checked at parse time, so a bad path is a
     usage error (exit 1) before the run starts: [--store] must be a
     directory or a new one in an existing directory, and [--ledger],
-    [--trace] and [--metrics] must be files in an existing directory. *)
+    [--trace] and [--metrics] must be files in an existing directory.
+
+    These flags are the only way to set the knobs: no environment
+    variable stands in for any of them. *)
 
 type t = {
   jobs : int option;  (** [--jobs/-j]: evaluation pool size *)
-  store : string option;  (** [--store], else [WR_STORE]; empty means none *)
+  store : string option;  (** [--store]; empty means none *)
   backend : Wr_sched.Backend.kind option;  (** [--backend] *)
   strict : bool;  (** [--strict]: fail fast instead of quarantining *)
+  verify : bool;  (** [--verify]: check every point with the oracles *)
   ledger : string option;  (** [--ledger]: provenance ledger file *)
+  ledger_wall : bool;  (** [--ledger-wall]: per-point wall times in the ledger *)
   trace : string option;  (** [--trace]: Chrome trace-event file *)
   metrics : string option;  (** [--metrics]: telemetry snapshot file *)
 }

@@ -55,44 +55,23 @@ let compactability ?(stride1_probs = [ 0.5; 0.7; 0.85; 0.95; 1.0 ]) ?(num_loops 
 
 (* --- register-pressure levers ------------------------------------------- *)
 
-let pressure_levers ?(suite_id = "ablation") loops =
-  ignore suite_id;
+let pressure_levers loops =
+  (* Every loop, the baseline's included, goes through the same
+     pipeline under the policy, so a loop the policy cannot pipeline is
+     charged that policy's unpipelined fallback. *)
   let evaluate policy (x, y) registers =
     let config = Config.xwy ~registers ~x ~y () in
-    let resource = Resource.of_config config in
     let cycles = ref 0.0 and fallback_weight = ref 0.0 and total_weight = ref 0.0 in
     Array.iter
       (fun (loop : Loop.t) ->
-        let wide, _ = Wr_widen.Transform.widen loop ~width:y in
+        let r = Evaluate.loop_on ~policy config ~cycle_model:cm ~registers loop in
+        cycles := !cycles +. r.Evaluate.cycles;
         total_weight := !total_weight +. loop.Loop.weight;
-        match Driver.run resource ~cycle_model:cm ~registers ~policy wide.Loop.ddg with
-        | Driver.Scheduled s ->
-            cycles :=
-              !cycles
-              +. (float_of_int (s.Driver.schedule.Schedule.ii * wide.Loop.trip_count)
-                 *. loop.Loop.weight)
-        | Driver.Unschedulable _ ->
-            (* Charge the sequential fallback so policies stay
-               comparable on the same loop set. *)
-            let r = Evaluate.loop_on config ~cycle_model:cm ~registers loop in
-            cycles := !cycles +. r.Evaluate.cycles;
-            fallback_weight := !fallback_weight +. loop.Loop.weight)
+        if not r.Evaluate.pipelined then fallback_weight := !fallback_weight +. loop.Loop.weight)
       loops;
     (!cycles, 100.0 *. !fallback_weight /. Stdlib.max 1e-9 !total_weight)
   in
-  let baseline =
-    let config = Config.xwy ~registers:256 ~x:1 ~y:1 () in
-    let resource = Resource.of_config config in
-    Wr_util.Stats.sum
-      (Array.map
-         (fun (loop : Loop.t) ->
-           match Driver.run resource ~cycle_model:cm ~registers:256 loop.Loop.ddg with
-           | Driver.Scheduled s ->
-               float_of_int (s.Driver.schedule.Schedule.ii * loop.Loop.trip_count)
-               *. loop.Loop.weight
-           | Driver.Unschedulable _ -> 0.0)
-         loops)
-  in
+  let baseline, _ = evaluate Driver.Combined (1, 1) 256 in
   let rows =
     List.concat_map
       (fun (x, y) ->

@@ -22,10 +22,12 @@ val compactability :
 (** Regenerate mini-suites at several stride-1 fractions and report the
     x8 and x32 peak speed-ups of 8w1, 2w4 and 1w8. *)
 
-val pressure_levers : ?suite_id:string -> Wr_ir.Loop.t array -> string
+val pressure_levers : Wr_ir.Loop.t array -> string
 (** 4w2 and 8w1 at 32/64 registers under three driver policies:
     spill-only, escalate-only, combined — reporting speed-up and the
-    fraction of loops that fail to pipeline. *)
+    fraction of loops that fail to pipeline.  A loop a policy cannot
+    pipeline is charged its unpipelined fallback
+    ({!Evaluate.loop_on} [~policy]). *)
 
 val scheduler_orderings : Wr_ir.Loop.t array -> string
 (** IMS height-priority vs SMS swing ordering: achieved II relative to

@@ -8,6 +8,7 @@ type t = (int * point list) list
 let cycle_model = Cycle_model.Cycles_4
 
 let run ?(slot_budgets = [ 3; 6; 12 ]) loops =
+  let analyses = Array.map (Rates.analyze ~cycle_model ~widths:[ 1 ]) loops in
   List.map
     (fun budget ->
       let splits =
@@ -19,8 +20,7 @@ let run ?(slot_budgets = [ 3; 6; 12 ]) loops =
       in
       let cycles_of (buses, fpus) =
         let config = Config.make ~buses ~fpus ~width:1 ~registers:256 () in
-        Wr_util.Stats.sum
-          (Array.map (fun l -> Rates.loop_cycles config ~cycle_model l) loops)
+        Wr_util.Stats.sum (Array.map (Rates.loop_cycles config) analyses)
       in
       let raw = List.map (fun s -> (s, cycles_of s)) splits in
       let best = List.fold_left (fun acc (_, c) -> Stdlib.min acc c) infinity raw in

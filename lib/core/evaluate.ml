@@ -55,7 +55,7 @@ let cache_stats = function
    [Wr_check.Oracle.Violation].  Off by default — the oracles run the
    reference interpreter and O(II) re-derivations, so a verified run
    costs a small constant factor over a plain one. *)
-let verify_flag = Atomic.make (Wr_util.Env.bool "WR_VERIFY" ~default:false)
+let verify_flag = Atomic.make false
 
 let set_verify b = Atomic.set verify_flag b
 
@@ -63,7 +63,7 @@ let verify_enabled () = Atomic.get verify_flag
 
 (* Strict mode restores fail-fast: a loop evaluation that raises kills
    the study instead of degrading to the unpipelined fallback. *)
-let strict_flag = Atomic.make (Wr_util.Env.bool "WR_STRICT" ~default:false)
+let strict_flag = Atomic.make false
 
 let set_strict b = Atomic.set strict_flag b
 
@@ -206,7 +206,7 @@ let cached_body ~suite_id ~index loop =
       Mutex.unlock body_cache_mutex;
       body
 
-let loop_on_impl ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
+let loop_on_impl ?policy ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
   Atomic.incr eval_count;
   if Obs.enabled () then Obs.incr "eval/evaluations";
   (* The body is widened for the machine's width but NOT unrolled by
@@ -219,7 +219,7 @@ let loop_on_impl ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t
     Obs.span "widen" (fun () -> Wr_widen.Transform.widen loop ~width:c.Config.width)
   in
   let resource = Resource.of_config c in
-  let outcome = Driver.run resource ~cycle_model ~registers prepared.Loop.ddg in
+  let outcome = Driver.run resource ~cycle_model ~registers ?policy prepared.Loop.ddg in
   let verifying = verify_enabled () in
   if verifying then begin
     let context =
@@ -294,16 +294,16 @@ let loop_on_impl ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t
         degraded = false;
       }
 
-let traced_loop_on ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
-  if not (Obs.enabled ()) then loop_on_impl ~plan_key c ~cycle_model ~registers loop
+let traced_loop_on ?policy ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
+  if not (Obs.enabled ()) then loop_on_impl ?policy ~plan_key c ~cycle_model ~registers loop
   else
     (* The args list is only built when tracing is on. *)
     Obs.span "eval/loop"
       ~args:[ ("loop", loop.Loop.name); ("config", Config.label c) ]
-      (fun () -> loop_on_impl ~plan_key c ~cycle_model ~registers loop)
+      (fun () -> loop_on_impl ?policy ~plan_key c ~cycle_model ~registers loop)
 
-let loop_on c ~cycle_model ~registers loop =
-  traced_loop_on ~plan_key:None c ~cycle_model ~registers loop
+let loop_on ?policy c ~cycle_model ~registers loop =
+  traced_loop_on ?policy ~plan_key:None c ~cycle_model ~registers loop
 
 type aggregate = {
   total_cycles : float;

@@ -45,14 +45,17 @@ type loop_result = {
 }
 
 val loop_on :
+  ?policy:Wr_regalloc.Driver.policy ->
   Wr_machine.Config.t ->
   cycle_model:Wr_machine.Cycle_model.t ->
   registers:int ->
   Wr_ir.Loop.t ->
   loop_result
 (** Uncached full-pipeline evaluation of one loop; increments
-    {!evaluations}.  A raised exception propagates: only
-    {!loop_cached} quarantines. *)
+    {!evaluations}.  [policy] (default [Combined]) picks the
+    register-pressure levers the driver may pull; a loop it cannot
+    pipeline is charged the unpipelined fallback.  A raised exception
+    propagates: only {!loop_cached} quarantines. *)
 
 (** How {!loop_cached} answered: from the loop memo, from the attached
     persistent store, or by running the pipeline. *)
@@ -120,8 +123,7 @@ val set_verify : bool -> unit
     re-derived by the independent {!Wr_check.Oracle} oracles (widening,
     schedule, allocation, spill semantics) and a broken invariant
     raises {!Wr_check.Oracle.Violation} with the loop and machine point
-    named.  Initialized from the [WR_VERIFY] environment variable
-    ([1]/[true]/[yes]/[on]). *)
+    named.  Off until set ([--verify] in the drivers). *)
 
 val verify_enabled : unit -> bool
 
@@ -138,13 +140,12 @@ val verified_points : unit -> int
     costed by pure arithmetic over the unwidened body, so the degrade
     path itself cannot fail — and a quarantine record is kept for the
     end-of-run report.  [Out_of_memory] is never absorbed.  Strict mode
-    ([WR_STRICT], or [--strict] in the drivers) restores fail-fast.
+    ([--strict] in the drivers) restores fail-fast.
     No wall-clock bound applies: every stage is bounded by work, so a
     slow evaluation is never degraded. *)
 
 val set_strict : bool -> unit
-(** Toggle fail-fast.  Initialized from the [WR_STRICT] environment
-    variable. *)
+(** Toggle fail-fast.  Off until set ([--strict] in the drivers). *)
 
 type quarantine_record = {
   q_suite : string;

@@ -7,16 +7,18 @@ type t = (int * point list) list
 
 let cycle_model = Cycle_model.Cycles_4
 
-(* Per-loop rates are independent; the sum folds the order-preserving
-   parallel map's output left-to-right, so the total is bit-identical
-   for any pool size. *)
-let total_cycles config loops =
-  Wr_util.Stats.sum
-    (Wr_util.Pool.parallel_map loops ~f:(fun l -> Rates.loop_cycles config ~cycle_model l))
-
+(* Each loop is analyzed once per run, in parallel, at every width of
+   the grid; the sums fold in loop order, so the totals are
+   bit-identical for any pool size. *)
 let run ?(max_factor = 128) loops =
-  let base = total_cycles (Config.xwy ~x:1 ~y:1 ()) loops in
   let rec factors f = if f > max_factor then [] else f :: factors (2 * f) in
+  let analyses =
+    Wr_util.Pool.parallel_map loops ~f:(Rates.analyze ~cycle_model ~widths:(1 :: factors 2))
+  in
+  let total_cycles config =
+    Wr_util.Stats.sum (Array.map (Rates.loop_cycles config) analyses)
+  in
+  let base = total_cycles (Config.xwy ~x:1 ~y:1 ()) in
   Wr_util.Pool.parallel_list_map (factors 2) ~f:(fun factor ->
       let rec splits x acc = if x = 0 then List.rev acc else splits (x / 2) (x :: acc) in
       let xs = splits factor [] in
@@ -24,7 +26,7 @@ let run ?(max_factor = 128) loops =
         List.map
           (fun x ->
             let config = Config.xwy ~x ~y:(factor / x) () in
-            { config; speedup = base /. total_cycles config loops })
+            { config; speedup = base /. total_cycles config })
           xs
       in
       (factor, points))

@@ -89,7 +89,7 @@ let set_capture b = Atomic.set capture_flag b
 
 let capture_enabled () = Atomic.get capture_flag
 
-let wall_flag = Atomic.make (Wr_util.Env.bool "WR_LEDGER_WALL" ~default:false)
+let wall_flag = Atomic.make false
 
 let set_wall b = Atomic.set wall_flag b
 

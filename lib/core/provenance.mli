@@ -16,8 +16,8 @@
     buffered in memory as points complete (any order) and written
     sorted by (suite, index, config, registers, cycle model) when the
     run ends.  Wall time is the one field that breaks byte-identity,
-    so it is off by default (opt in with [WR_LEDGER_WALL=1] or
-    [--ledger-wall]; the field is absent otherwise).  The [exact] backend's statuses are as
+    so it is off by default (opt in with [--ledger-wall]; the field is
+    absent otherwise).  The [exact] backend's statuses are as
     deterministic as the heuristic's: its search is bounded by node
     counts, never by the clock.  A point's record describes its
     one-partition config ({!Evaluate.loop_cached}), so which partition
@@ -107,8 +107,8 @@ val set_capture : bool -> unit
 val capture_enabled : unit -> bool
 
 val set_wall : bool -> unit
-(** Include per-record wall time.  Initialized from [WR_LEDGER_WALL];
-    documents away byte-identity when on. *)
+(** Include per-record wall time.  Off until set ([--ledger-wall] in
+    the drivers); gives up byte-identity when on. *)
 
 val wall_enabled : unit -> bool
 

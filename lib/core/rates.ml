@@ -12,45 +12,30 @@ type t = {
   cycles_per_iteration : float;
 }
 
-(* Recurrence rates depend only on the graph and the cycle model, and
-   are queried for every configuration of the grid; memoize per loop.
+(* The configuration-independent half of a loop's rates: its
+   recurrence rate depends only on the graph and the cycle model, and
+   its compactable operations only on the width, yet the grid queries
+   them for every configuration.  A study computes them once per loop
+   per run; nothing is kept between runs, so a loop is only ever
+   answered from its own analysis. *)
+type analysis = {
+  loop : Loop.t;
+  cycle_model : Cycle_model.t;
+  recurrence : float;
+  compactable : (int * bool array) list;  (* by width *)
+}
 
-   Thread-safety discipline: both memo tables are shared across pool
-   domains and every access is guarded by [cache_mutex]; the analyses
-   run outside the lock, so concurrent misses on one key duplicate a
-   deterministic computation and the duplicate [Hashtbl.replace] is
-   harmless.  Cached values are immutable once published (the
-   compactable array is written only by Compact.analyze before it is
-   stored). *)
-let cache_mutex = Mutex.create ()
-
-let rec_rate_cache : (int * int, float) Hashtbl.t = Hashtbl.create 4096
-
-let loop_key (l : Loop.t) = Hashtbl.hash (l.Loop.name, Ddg.num_ops l.Loop.ddg)
-
-let memoized table key compute =
-  Mutex.lock cache_mutex;
-  let hit = Hashtbl.find_opt table key in
-  Mutex.unlock cache_mutex;
-  match hit with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      Mutex.lock cache_mutex;
-      Hashtbl.replace table key v;
-      Mutex.unlock cache_mutex;
-      v
-
-let rec_rate_of ~cycle_model (l : Loop.t) =
-  let key = (loop_key l, Cycle_model.cycles cycle_model) in
-  memoized rec_rate_cache key (fun () -> Wr_sched.Mii.rec_rate ~cycle_model l.Loop.ddg)
-
-let compact_cache : (int * int, bool array) Hashtbl.t = Hashtbl.create 4096
-
-let compactable_of ~width (l : Loop.t) =
-  let key = (loop_key l, width) in
-  memoized compact_cache key (fun () ->
-      (Wr_widen.Compact.analyze ~width l.Loop.ddg).Wr_widen.Compact.compactable)
+let analyze ~cycle_model ~widths (l : Loop.t) =
+  {
+    loop = l;
+    cycle_model;
+    recurrence = Wr_sched.Mii.rec_rate ~cycle_model l.Loop.ddg;
+    compactable =
+      List.map
+        (fun width ->
+          (width, (Wr_widen.Compact.analyze ~width l.Loop.ddg).Wr_widen.Compact.compactable))
+        widths;
+  }
 
 (* Figure 2 is a limits study: perfect scheduling with unbounded
    unrolling hides the II >= 1 quantization, so the cost per source
@@ -59,9 +44,10 @@ let compactable_of ~width (l : Loop.t) =
    recurrences impose their cycle ratio regardless of resources.  (The
    finite-register experiments in Evaluate use the real scheduler on
    the non-unrolled body instead.) *)
-let of_loop (c : Config.t) ~cycle_model (l : Loop.t) =
-  let g = l.Loop.ddg in
-  let compactable = compactable_of ~width:c.Config.width l in
+let of_analysis (c : Config.t) a =
+  let cycle_model = a.cycle_model in
+  let g = a.loop.Loop.ddg in
+  let compactable = List.assoc c.Config.width a.compactable in
   let y = float_of_int c.Config.width in
   let bus = ref 0.0 and fpu = ref 0.0 in
   Array.iter
@@ -74,12 +60,14 @@ let of_loop (c : Config.t) ~cycle_model (l : Loop.t) =
     (Ddg.ops g);
   let bus_rate = !bus /. float_of_int c.Config.buses in
   let fpu_rate = !fpu /. float_of_int c.Config.fpus in
-  let rec_rate = rec_rate_of ~cycle_model l in
+  let rec_rate = a.recurrence in
   let cycles_per_iteration =
     Stdlib.max 1e-6 (Stdlib.max rec_rate (Stdlib.max bus_rate fpu_rate))
   in
   { rec_rate; bus_rate; fpu_rate; cycles_per_iteration }
 
-let loop_cycles c ~cycle_model l =
-  let r = of_loop c ~cycle_model l in
-  r.cycles_per_iteration *. float_of_int l.Loop.trip_count *. l.Loop.weight
+let of_loop c ~cycle_model l = of_analysis c (analyze ~cycle_model ~widths:[ c.Config.width ] l)
+
+let loop_cycles c a =
+  let r = of_analysis c a in
+  r.cycles_per_iteration *. float_of_int a.loop.Loop.trip_count *. a.loop.Loop.weight

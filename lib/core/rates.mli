@@ -15,10 +15,12 @@
     and unrolled graph) makes the 128-wide corner of the design space
     tractable.
 
-    Thread-safe: the per-loop recurrence-rate and compactability memo
-    tables are mutex-guarded (analyses run outside the lock; concurrent
-    misses duplicate a deterministic computation at worst), so
-    {!of_loop} may be called freely from {!Wr_util.Pool} tasks. *)
+    A loop's recurrence rate and its compactable operations do not
+    depend on the configuration, so a study over a grid computes them
+    once per loop with {!analyze} and prices every configuration from
+    that {!analysis}.  No state outlives the analysis, so every
+    function here is pure and safe to call from {!Wr_util.Pool}
+    tasks. *)
 
 type t = {
   rec_rate : float;
@@ -30,7 +32,15 @@ type t = {
 val of_loop :
   Wr_machine.Config.t -> cycle_model:Wr_machine.Cycle_model.t -> Wr_ir.Loop.t -> t
 
-val loop_cycles :
-  Wr_machine.Config.t -> cycle_model:Wr_machine.Cycle_model.t -> Wr_ir.Loop.t -> float
+type analysis
+(** One loop's configuration-independent analyses under one cycle
+    model: its recurrence rate, and its compactable operations at each
+    of a list of widths. *)
+
+val analyze :
+  cycle_model:Wr_machine.Cycle_model.t -> widths:int list -> Wr_ir.Loop.t -> analysis
+
+val loop_cycles : Wr_machine.Config.t -> analysis -> float
 (** [cycles_per_iteration * trip_count * weight] — the loop's weighted
-    contribution to total execution cycles. *)
+    contribution to total execution cycles on the configuration, whose
+    width must be one the analysis covers ([Not_found] otherwise). *)

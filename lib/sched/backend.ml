@@ -1,7 +1,6 @@
 module Resource = Wr_machine.Resource
 module Cycle_model = Wr_machine.Cycle_model
 module Ddg = Wr_ir.Ddg
-module Env = Wr_util.Env
 
 type kind = Heuristic | Exact
 
@@ -15,20 +14,8 @@ let of_string s =
 
 (* Selection is process-global (studies fan points out over the pool;
    a per-call parameter would have to thread through every driver) and
-   atomic so a CLI/env race with worker domains reads a whole value. *)
-let current_kind : kind Atomic.t =
-  let initial =
-    match Sys.getenv_opt "WR_SCHED_BACKEND" with
-    | None | Some "" -> Heuristic
-    | Some s -> (
-        match of_string s with
-        | Some k -> k
-        | None ->
-            Env.warn_invalid ~name:"WR_SCHED_BACKEND" ~value:s
-              ~expected:"heuristic|exact" ~default:"heuristic";
-            Heuristic)
-  in
-  Atomic.make initial
+   atomic so a CLI race with worker domains reads a whole value. *)
+let current_kind : kind Atomic.t = Atomic.make Heuristic
 
 let set k = Atomic.set current_kind k
 let current () = Atomic.get current_kind

@@ -14,9 +14,8 @@
        proves it optimal within a node budget, falling back to the
        heuristic result on expiry.}}
 
-    Selection: {!set} (wired to [--backend] in the CLIs) or the
-    [WR_SCHED_BACKEND] environment variable ([heuristic|exact],
-    malformed values warn once and keep the default). *)
+    Selection: {!set}, wired to [--backend] in the CLIs; the default is
+    [Heuristic]. *)
 
 type kind = Heuristic | Exact
 

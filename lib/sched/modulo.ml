@@ -16,12 +16,6 @@ type result = {
 
 let empty_schedule ~cycle_model = Schedule.make ~ii:1 ~times:[||] ~cycle_model
 
-(* WR_SCHED_DEBUG follows the same warn-once-on-invalid discipline as
-   WR_JOBS / WR_VERIFY (Wr_util.Env) and, like WR_VERIFY, is read once
-   at start-up: a lazy forced by two pool domains at once raises
-   [CamlinternalLazy.Undefined] in one of them. *)
-let sched_debug = Wr_util.Env.bool "WR_SCHED_DEBUG" ~default:false
-
 (* height(v): longest weighted path out of v at the given II; the
    classic IMS priority.  Weights [delay - II * distance] admit no
    positive cycle once II >= RecMII, so upward value iteration from
@@ -266,30 +260,12 @@ let attempt ~cycle_model g ~view ~delays ~ii ~rec_mii ~critical ~budget ~orderin
       failwith "Modulo.force: could not place after full eviction";
     evict_violated_succs op t
   in
-  let debug = sched_debug in
-  let per_op = if debug then Array.make n 0 else [||] in
   let ok = ref true in
   while !ok && !num_scheduled < n do
-    if !placements >= budget then begin
-      if debug then begin
-        Printf.eprintf "[sched] II=%d budget out: %d/%d scheduled after %d placements\n%!" ii
-          !num_scheduled n !placements;
-        let hot = Array.mapi (fun i c -> (c, i)) per_op in
-        Array.sort (fun a b -> compare b a) hot;
-        Array.iteri
-          (fun k (c, i) ->
-            if k < 6 && c > 0 then
-              Printf.eprintf "  hot op%d: %d placements, %s, time=%d h=%d crit=%b\n%!" i c
-                (Operation.to_string (Ddg.op g i))
-                time.(i) h.(i) critical.(i))
-          hot
-      end;
-      ok := false
-    end
+    if !placements >= budget then ok := false
     else begin
       incr placements;
       let op = pick () in
-      if debug then per_op.(op) <- per_op.(op) + 1;
       let lo = estart op in
       (* Preferred window respects scheduled successors (keeps
          lifetimes short, HRMS-style); if it has no free slot, fall

@@ -57,9 +57,10 @@ let current : spec list Atomic.t =
         match parse s with
         | Ok specs -> specs
         | Error e ->
-            Env.warn_invalid ~name:"WR_FAULT" ~value:s
-              ~expected:(Printf.sprintf "site:prob:seed[:delay=MS][,...] — %s" e)
-              ~default:"no fault injection";
+            Printf.eprintf
+              "warning: invalid WR_FAULT value %S (expected site:prob:seed[:delay=MS][,...] — \
+               %s); using no fault injection\n%!"
+              s e;
             []))
 
 let configure specs = Atomic.set current specs

@@ -6,7 +6,9 @@
     replayably — whether to raise {!Injected} (or spin for a configured
     delay) there.  Specs come from the [WR_FAULT] environment variable
     ([site:prob:seed], optionally [:delay=MS], comma-separated for
-    several sites) or from {!configure}.
+    several sites) or from {!configure}.  A malformed [WR_FAULT] value
+    injects nothing, after a one-line warning on stderr.  It is the
+    only setting the project reads from the environment.
 
     {2 Determinism}
 

@@ -17,23 +17,7 @@ type t = {
   jobs : int;
 }
 
-let parse_jobs s =
-  match int_of_string_opt (String.trim s) with Some n when n >= 1 -> Some n | _ -> None
-
-(* A bad WR_JOBS must not be silently swallowed (a typo like
-   WR_JOBS=-4 or WR_JOBS=four would otherwise quietly run at the core
-   count); warn once, naming both the bad value and the default used. *)
-let default_jobs () =
-  match Sys.getenv_opt "WR_JOBS" with
-  | None -> Domain.recommended_domain_count ()
-  | Some s -> (
-      match parse_jobs s with
-      | Some n -> n
-      | None ->
-          let d = Domain.recommended_domain_count () in
-          Env.warn_invalid ~name:"WR_JOBS" ~value:s ~expected:"a positive integer"
-            ~default:(Printf.sprintf "the default of %d" d);
-          d)
+let default_jobs () = Domain.recommended_domain_count ()
 
 let jobs t = t.jobs
 

@@ -10,9 +10,10 @@
     A pool holds [jobs - 1] worker domains; the domain that calls
     {!parallel_map} acts as the [jobs]-th worker while it waits, so a
     pool of size 1 spawns no domains at all and runs strictly
-    sequentially.  The size is resolved, in order of precedence, from
-    the explicit [~jobs] argument to {!create}, the [WR_JOBS]
-    environment variable, and [Domain.recommended_domain_count ()].
+    sequentially.  The size is the explicit [~jobs] argument to
+    {!create} (which drivers pass from [--jobs]), else
+    [Domain.recommended_domain_count ()]; the environment plays no
+    part.
 
     {2 Determinism}
 
@@ -53,10 +54,8 @@ exception Batch_failure of (int * exn * Printexc.raw_backtrace) list
     the index of the input item that caused it, sorted by index. *)
 
 val default_jobs : unit -> int
-(** [WR_JOBS] if set to a positive integer, else
-    [Domain.recommended_domain_count ()].  An invalid [WR_JOBS] value
-    falls back to the latter with a one-line warning on stderr (printed
-    once per process) naming the bad value and the default used. *)
+(** [Domain.recommended_domain_count ()]: the size of a pool created
+    without [~jobs]. *)
 
 val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs - 1] worker domains (default {!default_jobs}).

@@ -497,6 +497,31 @@ let test_ablation_levers_text () =
   let s = Core.Ablation.pressure_levers (Wr_workload.Suite.sample 20) in
   Alcotest.(check bool) "renders with policies" true (String.length s > 200)
 
+let table_row table prefix =
+  List.find (String.starts_with ~prefix) (String.split_on_char '\n' table)
+
+(* A loop spill-only cannot pipeline is charged spill-only's
+   unpipelined fallback, not the combined driver's pipelined schedule
+   (which read 1.68 here). *)
+let test_ablation_levers_charge_policy_fallback () =
+  let s = Core.Ablation.pressure_levers (Wr_workload.Suite.sample 20) in
+  Alcotest.(check string) "4w2/32 spill only" "| 4w2/32 |    spill only |     1.07 |    34.9% |"
+    (table_row s "| 4w2/32 |    spill only")
+
+(* Each generator draw is priced from its own loops, whatever ran
+   earlier in the process: the 0.5 draw shares loop names and sizes
+   with the 1.0 draw, and used to answer its compactability (1w8 read
+   5.48 after it). *)
+let test_ablation_compact_rows_independent () =
+  let row probs =
+    table_row (Core.Ablation.compactability ~num_loops:30 ~stride1_probs:probs ()) "| 1.00"
+  in
+  let after_half = row [ 0.5; 1.0 ] in
+  let alone = row [ 1.0 ] in
+  Alcotest.(check string) "same row after the 0.5 draw" alone after_half;
+  Alcotest.(check string) "the 1.0 draw's own row"
+    "| 1.00          |     6.82 |     6.80 |     6.72 |      14.12 |" alone
+
 let () =
   Alcotest.run "core"
     [
@@ -557,5 +582,9 @@ let () =
           Alcotest.test_case "icache ordering" `Slow test_icache_study_ordering;
           Alcotest.test_case "ablation rotating" `Slow test_ablation_rotating_text;
           Alcotest.test_case "ablation levers" `Slow test_ablation_levers_text;
+          Alcotest.test_case "ablation levers charge the policy's fallback" `Slow
+            test_ablation_levers_charge_policy_fallback;
+          Alcotest.test_case "ablation compact rows independent of earlier draws" `Quick
+            test_ablation_compact_rows_independent;
         ] );
     ]

@@ -322,24 +322,17 @@ let test_cache_stats_count_and_reset () =
   Alcotest.(check bool) "clear_cache resets both levels" true
     (s_loop.Core.Evaluate.hits = 0 && s_loop.misses = 0 && s_suite.hits = 0 && s_suite.misses = 0)
 
-(* --- WR_JOBS fallback --------------------------------------------------------- *)
+(* --- the environment sizes nothing ------------------------------------------ *)
 
-let test_bad_wr_jobs_falls_back () =
-  let restore = string_of_int (Domain.recommended_domain_count ()) in
+(* Only [--jobs] ([Pool.set_default_jobs]) sizes the pool: a WR_JOBS
+   left in the shell changes nothing. *)
+let test_env_does_not_size_pool () =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "WR_JOBS") in
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "WR_JOBS" restore)
+    ~finally:(fun () -> Unix.putenv "WR_JOBS" saved)
     (fun () ->
       Unix.putenv "WR_JOBS" "3";
-      Alcotest.(check int) "valid WR_JOBS honoured" 3 (Pool.default_jobs ());
-      Unix.putenv "WR_JOBS" "four";
-      (* Warns once on stderr and falls back; the return value is the
-         observable contract here. *)
-      Alcotest.(check int) "invalid WR_JOBS falls back to core count"
-        (Domain.recommended_domain_count ())
-        (Pool.default_jobs ());
-      Unix.putenv "WR_JOBS" "-4";
-      Alcotest.(check int) "negative WR_JOBS falls back too"
-        (Domain.recommended_domain_count ())
+      Alcotest.(check int) "core count" (Domain.recommended_domain_count ())
         (Pool.default_jobs ()))
 
 let () =
@@ -360,5 +353,7 @@ let () =
       ( "cache",
         [ Alcotest.test_case "cache_stats counts and clear_cache resets" `Quick test_cache_stats_count_and_reset ]
       );
-      ("env", [ Alcotest.test_case "WR_JOBS fallback on bad values" `Quick test_bad_wr_jobs_falls_back ]);
+      ( "env",
+        [ Alcotest.test_case "the environment does not size the pool" `Quick
+            test_env_does_not_size_pool ] );
     ]

@@ -60,15 +60,6 @@ let test_backend_alias () =
     (o.Run_options.backend = Some Wr_sched.Backend.Exact);
   Alcotest.(check bool) "unknown backend rejected" true (parse [ "--backend"; "fast" ] = None)
 
-let test_store_env_fallback () =
-  let env v = function "WR_STORE" -> Some v | _ -> None in
-  let store ?env args = (parse_ok ?env args).Run_options.store in
-  Alcotest.(check (option string)) "no flag, no env" None (store []);
-  Alcotest.(check (option string)) "env alone" (Some "/env") (store ~env:(env "/env") []);
-  Alcotest.(check (option string)) "flag beats env" (Some "/flag")
-    (store ~env:(env "/env") [ "--store"; "/flag" ]);
-  Alcotest.(check (option string)) "empty env means no store" None (store ~env:(env "") [])
-
 let with_tmp_dir f =
   let dir = Filename.temp_file "wr-run-options" ".d" in
   Sys.remove dir;
@@ -82,6 +73,19 @@ let with_tmp_dir f =
   in
   Fun.protect ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
     (fun () -> f dir)
+
+(* Only [--store] names a store: a WR_STORE in the environment is not
+   read, even when it names a file. *)
+let test_store_env_ignored () =
+  with_tmp_dir @@ fun dir ->
+  let file = Filename.concat dir "file" in
+  Out_channel.with_open_text file ignore;
+  let env v = function "WR_STORE" -> Some v | _ -> None in
+  let store ?env args = (parse_ok ?env args).Run_options.store in
+  Alcotest.(check (option string)) "no flag" None (store ~env:(env dir) []);
+  Alcotest.(check (option string)) "no flag, WR_STORE names a file" None (store ~env:(env file) []);
+  Alcotest.(check (option string)) "the flag alone decides" (Some dir)
+    (store ~env:(env file) [ "--store"; dir ])
 
 let test_bad_paths_rejected () =
   with_tmp_dir @@ fun dir ->
@@ -101,8 +105,6 @@ let test_bad_paths_rejected () =
       [ "--trace"; dir ];
       [ "--metrics"; dir ];
     ];
-  Alcotest.(check bool) "WR_STORE naming a file rejected" true
-    (parse ~env:(function "WR_STORE" -> Some file | _ -> None) [] = None);
   let o =
     parse_ok
       [
@@ -119,6 +121,7 @@ let test_bad_paths_rejected () =
 let clean () =
   Fault.configure [];
   Evaluate.set_verify false;
+  Core.Provenance.set_wall false;
   Evaluate.detach_store ();
   Evaluate.reset_quarantine ();
   Evaluate.clear_cache ();
@@ -159,6 +162,19 @@ let test_start_finish_store_ledger () =
       Core.Store.close t
   | exception Core.Store.Locked msg -> Alcotest.failf "store lock not released: %s" msg
 
+let test_start_applies_verify_and_ledger_wall () =
+  with_clean_state @@ fun () ->
+  let plain = parse_ok [] in
+  Alcotest.(check bool) "verify off by default" false plain.Run_options.verify;
+  Alcotest.(check bool) "ledger wall off by default" false plain.Run_options.ledger_wall;
+  let opts = parse_ok [ "--verify"; "--ledger-wall" ] in
+  Alcotest.(check bool) "--verify parsed" true opts.Run_options.verify;
+  Alcotest.(check bool) "--ledger-wall parsed" true opts.Run_options.ledger_wall;
+  Run_options.start ~out:stdout opts;
+  Alcotest.(check bool) "start turns verification on" true (Evaluate.verify_enabled ());
+  Alcotest.(check bool) "start turns ledger wall times on" true
+    (Core.Provenance.wall_enabled ())
+
 let test_verify_line_counts_quarantine () =
   with_clean_state @@ fun () ->
   with_tmp_dir @@ fun dir ->
@@ -179,13 +195,15 @@ let () =
         [
           Alcotest.test_case "positive arguments reject 0" `Quick test_positive_rejects_zero;
           Alcotest.test_case "--backend bnb is exact" `Quick test_backend_alias;
-          Alcotest.test_case "--store beats WR_STORE" `Quick test_store_env_fallback;
+          Alcotest.test_case "WR_STORE is ignored" `Quick test_store_env_ignored;
           Alcotest.test_case "bad paths are usage errors" `Quick test_bad_paths_rejected;
         ] );
       ( "lifecycle",
         [
           Alcotest.test_case "start/finish with store and ledger" `Quick
             test_start_finish_store_ledger;
+          Alcotest.test_case "--verify and --ledger-wall are applied by start" `Quick
+            test_start_applies_verify_and_ledger_wall;
           Alcotest.test_case "verify line counts quarantined points" `Quick
             test_verify_line_counts_quarantine;
         ] );
