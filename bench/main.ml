@@ -163,6 +163,9 @@ let ( run_options,
       `S Manpage.s_description;
       `P "The ledger and artifact tools take positional files instead: $(b,report) LEDGER, \
           $(b,diff) OLD NEW [--threshold PCT] and $(b,validate) BENCH.json...";
+      `P "$(b,--backend) reaches every experiment that schedules, except \
+          $(b,ablation-ordering): it compares the heuristic scheduler's own priority \
+          orderings, so it always runs the heuristic.";
     ]
   in
   let info = Cmd.info "main.exe" ~doc:"Regenerate the paper's tables and figures" ~man in
@@ -508,9 +511,10 @@ let run_experiment id =
             (float_of_int st.Obs.span_max_ns /. 1e6))
         snap.Obs.spans;
       Printf.printf
-        "(stages nest and run concurrently: eval/suite fans out per-loop tasks while the \
-         study fans out eval/suite points, eval/loop contains sched/modulo, alloc and \
-         spill/apply — totals are per-stage CPU time, not wall time)\n\n";
+        "(stages nest and run concurrently: the study's one eval/suite batch fans out a task \
+         per loop, whose points share one widen per width and their first probe per \
+         machine shape, and eval/loop contains sched/modulo, alloc and spill/apply — totals are \
+         per-stage CPU time, not wall time)\n\n";
       let loop_spans =
         List.filter (fun e -> e.Obs.ev_name = "eval/loop") (Obs.events ())
       in

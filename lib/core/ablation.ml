@@ -157,7 +157,7 @@ let rotating_file loops =
       (fun (loop : Loop.t) ->
         let wide, _ = Wr_widen.Transform.widen loop ~width:y in
         let g = wide.Loop.ddg in
-        let r = Wr_sched.Modulo.run resource ~cycle_model:cm g in
+        let r = Wr_sched.Backend.run resource ~cycle_model:cm g in
         let s = r.Wr_sched.Modulo.schedule in
         let lts = Wr_regalloc.Lifetime.of_schedule g s in
         let wands = Wr_regalloc.Alloc.allocate ~ii:s.Schedule.ii lts in

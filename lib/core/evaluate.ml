@@ -206,20 +206,60 @@ let cached_body ~suite_id ~index loop =
       Mutex.unlock body_cache_mutex;
       body
 
-let loop_on_impl ?policy ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
+(* A point's machine shape: what its widened body and the driver's
+   first probe depend on besides the loop — width, issue slots and
+   cycle model.  The register count is not part of it: only the fit
+   check, the escalation search and the spill rounds depend on that.
+   [suites_on] sorts a task's points by it, and [loop_on_impl] keys the
+   shared probe by it. *)
+type shape = int * Resource.t * int
+
+let shape_of (c : Config.t) cycle_model : shape =
+  (c.Config.width, Resource.of_config c, Cycle_model.cycles cycle_model)
+
+(* What one task of a batch ([suites_on]) shares between the points of
+   its loop: the widened body of the current width, and the driver's
+   first probe on it for the current shape.  The task visits its points
+   sorted by shape, so it holds one body and one memo at a time, and
+   nothing outlives the task.  A lone point gets a fresh record. *)
+type shared = {
+  mutable body : (int * Loop.t) option;
+  mutable probes : (shape * Driver.memo) option;
+}
+
+let fresh_shared () = { body = None; probes = None }
+
+let loop_on_impl ?policy ~plan_key ~shared (c : Config.t) ~cycle_model ~registers
+    (loop : Loop.t) =
   Atomic.incr eval_count;
   if Obs.enabled () then Obs.incr "eval/evaluations";
   (* The body is widened for the machine's width but NOT unrolled by
      the bus count: like the paper's compiler, the scheduler works on
      the loop as written, so the initiation interval (and with it the
      register pressure of aggressive machines) is quantized at
-     II >= 1 per (wide) iteration. *)
+     II >= 1 per (wide) iteration.  The fault draw is per point, even
+     when the task already holds the widened body. *)
   Wr_util.Fault.hit "widen";
-  let prepared, _stats =
-    Obs.span "widen" (fun () -> Wr_widen.Transform.widen loop ~width:c.Config.width)
+  let width = c.Config.width in
+  let prepared =
+    match shared.body with
+    | Some (w, body) when w = width -> body
+    | _ ->
+        let body = fst (Obs.span "widen" (fun () -> Wr_widen.Transform.widen loop ~width)) in
+        shared.body <- Some (width, body);
+        body
+  in
+  let memo =
+    let shape = shape_of c cycle_model in
+    match shared.probes with
+    | Some (k, memo) when k = shape -> memo
+    | _ ->
+        let memo = Driver.memo () in
+        shared.probes <- Some (shape, memo);
+        memo
   in
   let resource = Resource.of_config c in
-  let outcome = Driver.run resource ~cycle_model ~registers ?policy prepared.Loop.ddg in
+  let outcome = Driver.run resource ~cycle_model ~registers ?policy ~memo prepared.Loop.ddg in
   let verifying = verify_enabled () in
   if verifying then begin
     let context =
@@ -294,16 +334,19 @@ let loop_on_impl ?policy ~plan_key (c : Config.t) ~cycle_model ~registers (loop 
         degraded = false;
       }
 
-let traced_loop_on ?policy ~plan_key (c : Config.t) ~cycle_model ~registers (loop : Loop.t) =
-  if not (Obs.enabled ()) then loop_on_impl ?policy ~plan_key c ~cycle_model ~registers loop
+let traced_loop_on ?policy ~plan_key ~shared (c : Config.t) ~cycle_model ~registers
+    (loop : Loop.t) =
+  if not (Obs.enabled ()) then
+    loop_on_impl ?policy ~plan_key ~shared c ~cycle_model ~registers loop
   else
     (* The args list is only built when tracing is on. *)
     Obs.span "eval/loop"
       ~args:[ ("loop", loop.Loop.name); ("config", Config.label c) ]
-      (fun () -> loop_on_impl ?policy ~plan_key c ~cycle_model ~registers loop)
+      (fun () -> loop_on_impl ?policy ~plan_key ~shared c ~cycle_model ~registers loop)
 
 let loop_on ?policy c ~cycle_model ~registers loop =
-  traced_loop_on ?policy ~plan_key:None c ~cycle_model ~registers loop
+  traced_loop_on ?policy ~plan_key:None ~shared:(fresh_shared ()) c ~cycle_model ~registers
+    loop
 
 type aggregate = {
   total_cycles : float;
@@ -536,7 +579,7 @@ let memo_add key r =
   Mutex.unlock cache_mutex;
   stored
 
-let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
+let lookup ~shared ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
   let key = memo_key ~suite_id ~index c ~cycle_model ~registers in
   Mutex.lock cache_mutex;
   let hit = Hashtbl.find_opt loop_cache key in
@@ -607,7 +650,8 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
       in
       let evaluate () =
         Wr_util.Fault.with_context context (fun () ->
-            traced_loop_on ~plan_key:(Some (suite_id, index)) c ~cycle_model ~registers loop)
+            traced_loop_on ~plan_key:(Some (suite_id, index)) ~shared c ~cycle_model ~registers
+              loop)
       in
       let wall = cap && Provenance.wall_enabled () in
       let t0 = if wall then Obs.now_ns () else 0 in
@@ -663,54 +707,97 @@ let loop_cached ~suite_id ~index (c : Config.t) ~cycle_model ~registers loop =
       end;
       { result; source = Fresh })
 
-let suite_on ?pool ~suite_id (c : Config.t) ~cycle_model ~registers loops =
-  let key =
-    (suite_id, c.Config.buses, c.Config.width, registers, Cycle_model.cycles cycle_model)
+let loop_cached ~suite_id ~index c ~cycle_model ~registers loop =
+  lookup ~shared:(fresh_shared ()) ~suite_id ~index c ~cycle_model ~registers loop
+
+type point = { config : Config.t; cycle_model : Cycle_model.t; registers : int }
+
+let suite_key ~suite_id p =
+  ( suite_id,
+    p.config.Config.buses,
+    p.config.Config.width,
+    p.registers,
+    Cycle_model.cycles p.cycle_model )
+
+(* Folds one point's per-loop results in loop order, so float
+   accumulation order — and with it the aggregate, bit for bit — is the
+   same for any pool size. *)
+let aggregate loops result =
+  let total_cycles = ref 0.0 in
+  let unpipelined = ref 0 and spilled = ref 0 in
+  let stores = ref 0 and loads = ref 0 in
+  let weight = ref 0.0 and fallback_weight = ref 0.0 in
+  Array.iteri
+    (fun i (loop : Loop.t) ->
+      let r = result i in
+      total_cycles := !total_cycles +. r.cycles;
+      weight := !weight +. loop.Loop.weight;
+      if not r.pipelined then begin
+        incr unpipelined;
+        fallback_weight := !fallback_weight +. loop.Loop.weight
+      end;
+      if r.spill_stores > 0 then incr spilled;
+      stores := !stores + r.spill_stores;
+      loads := !loads + r.spill_loads)
+    loops;
+  {
+    total_cycles = !total_cycles;
+    loops = Array.length loops;
+    unpipelined = !unpipelined;
+    unpipelined_weight = (if !weight > 0.0 then !fallback_weight /. !weight else 0.0);
+    spilled_loops = !spilled;
+    total_stores = !stores;
+    total_loads = !loads;
+  }
+
+let suites_on ?pool ~suite_id points loops =
+  (* This batch's answers by suite key: the aggregate memo's hits, then
+     the points it misses (each distinct key once). *)
+  let answers = Hashtbl.create 64 in
+  let missing =
+    List.filter_map
+      (fun p ->
+        let key = suite_key ~suite_id p in
+        if Hashtbl.mem answers key then None
+        else begin
+          let hit = cache_find key in
+          Hashtbl.add answers key hit;
+          if Option.is_none hit then Some (key, p) else None
+        end)
+      points
+    |> Array.of_list
   in
-  match cache_find key with
-  | Some agg -> agg
-  | None ->
-      (* Per-loop evaluations are independent; fan them out over the
-         pool.  The fold below walks the order-preserving result array
-         sequentially, so float accumulation order — and with it the
-         aggregate, bit for bit — is identical for any pool size. *)
-      let indexed = Array.mapi (fun i loop -> (i, loop)) loops in
-      let results =
-        (if not (Obs.enabled ()) then fun f -> f ()
-         else Obs.span "eval/suite" ~args:[ ("config", Config.label c) ])
-          (fun () ->
-            Wr_util.Pool.parallel_map ?pool indexed ~f:(fun (i, loop) ->
-                (loop_cached ~suite_id ~index:i c ~cycle_model ~registers loop).result))
-      in
-      let total_cycles = ref 0.0 in
-      let unpipelined = ref 0 and spilled = ref 0 in
-      let stores = ref 0 and loads = ref 0 in
-      let weight = ref 0.0 and fallback_weight = ref 0.0 in
-      Array.iteri
-        (fun i (r : loop_result) ->
-          let loop = loops.(i) in
-          total_cycles := !total_cycles +. r.cycles;
-          weight := !weight +. loop.Loop.weight;
-          if not r.pipelined then begin
-            incr unpipelined;
-            fallback_weight := !fallback_weight +. loop.Loop.weight
-          end;
-          if r.spill_stores > 0 then incr spilled;
-          stores := !stores + r.spill_stores;
-          loads := !loads + r.spill_loads)
-        results;
-      let agg =
-        {
-          total_cycles = !total_cycles;
-          loops = Array.length loops;
-          unpipelined = !unpipelined;
-          unpipelined_weight = (if !weight > 0.0 then !fallback_weight /. !weight else 0.0);
-          spilled_loops = !spilled;
-          total_stores = !stores;
-          total_loads = !loads;
-        }
-      in
-      cache_store key agg;
-      agg
+  if missing <> [||] then begin
+    (* One task per loop: it evaluates every missing point of its loop,
+       in shape order, through one [shared] record, so the loop is
+       widened once per width and first probed once per shape. *)
+    let shape (_, p) = shape_of p.config p.cycle_model in
+    Array.stable_sort (fun a b -> compare (shape a) (shape b)) missing;
+    let task (index, loop) =
+      let shared = fresh_shared () in
+      Array.map
+        (fun (_, p) ->
+          (lookup ~shared ~suite_id ~index p.config ~cycle_model:p.cycle_model
+             ~registers:p.registers loop)
+            .result)
+        missing
+    in
+    let results =
+      (if not (Obs.enabled ()) then fun f -> f ()
+       else Obs.span "eval/suite" ~args:[ ("points", string_of_int (Array.length missing)) ])
+        (fun () ->
+          Wr_util.Pool.parallel_map ?pool (Array.mapi (fun i loop -> (i, loop)) loops) ~f:task)
+    in
+    Array.iteri
+      (fun j (key, _) ->
+        let agg = aggregate loops (fun i -> results.(i).(j)) in
+        cache_store key agg;
+        Hashtbl.replace answers key (Some agg))
+      missing
+  end;
+  List.map (fun p -> Option.get (Hashtbl.find answers (suite_key ~suite_id p))) points
+
+let suite_on ?pool ~suite_id config ~cycle_model ~registers loops =
+  List.hd (suites_on ?pool ~suite_id [ { config; cycle_model; registers } ] loops)
 
 let acceptable agg = agg.unpipelined_weight <= 0.10

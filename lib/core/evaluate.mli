@@ -18,11 +18,10 @@
 
     {2 Concurrency}
 
-    [suite_on] evaluates loops in parallel on a {!Wr_util.Pool} (the
-    process-wide default unless [?pool] is given) and is itself safe to
-    call from pool tasks, so study drivers may fan out over
-    configurations while each configuration fans out over loops.  The
-    memo table is guarded by a mutex: lookups and stores are short
+    [suites_on] evaluates a batch of points in parallel on a
+    {!Wr_util.Pool} (the process-wide default unless [?pool] is given),
+    one task per loop, and is itself safe to call from pool tasks.  The
+    memo tables are guarded by a mutex: lookups and stores are short
     critical sections, the evaluation runs outside the lock, and two
     domains racing on one key merely duplicate a deterministic
     computation.  Results are bit-identical for any pool size because
@@ -217,6 +216,37 @@ type aggregate = {
   total_loads : int;
 }
 
+type point = {
+  config : Wr_machine.Config.t;
+  cycle_model : Wr_machine.Cycle_model.t;
+  registers : int;
+}
+(** One design point of a study: a machine and its register count,
+    under a latency model. *)
+
+val suites_on :
+  ?pool:Wr_util.Pool.t ->
+  suite_id:string ->
+  point list ->
+  Wr_ir.Loop.t array ->
+  aggregate list
+(** The aggregate of every point over the suite, in the order of
+    [points]; [suite_id] must uniquely name the loop array passed.
+    Points the aggregate memo holds are answered from it.  The rest
+    (each distinct memo key once) are evaluated as one batch, fanned
+    out over [pool] (default: the shared pool) {e per loop}: the task
+    of one loop runs {!loop_cached}'s lookup for each missing point,
+    widening the loop once per width and sharing the driver's first
+    probe ({!Wr_regalloc.Driver.memo}) between the points of one
+    machine shape (width, resources and cycle model).  So a
+    register-file sweep schedules each shape once at the MII, and
+    reschedules only where a point does not fit.  The task visits its
+    points sorted by shape and holds one widened body and one memo at a
+    time; nothing outlives the batch.  Fault draws,
+    tallies, ledger records and store entries are those of the points
+    evaluated one by one.  Each aggregate folds its per-loop results in
+    loop order, so results are bit-identical for any pool size. *)
+
 val suite_on :
   ?pool:Wr_util.Pool.t ->
   suite_id:string ->
@@ -225,9 +255,7 @@ val suite_on :
   registers:int ->
   Wr_ir.Loop.t array ->
   aggregate
-(** Memoized; [suite_id] must uniquely name the loop array passed.
-    Evaluates loops in parallel on [pool] (default: the shared pool);
-    deterministic for any pool size. *)
+(** {!suites_on} for one point. *)
 
 val acceptable : aggregate -> bool
 (** Whether the configuration point counts as schedulable: fallbacks

@@ -25,7 +25,7 @@ let footprint (x, y) (loop : Loop.t) =
   let config = Config.xwy ~x ~y () in
   let wide, _ = Wr_widen.Transform.widen loop ~width:y in
   let g = wide.Loop.ddg in
-  let r = Wr_sched.Modulo.run (Resource.of_config config) ~cycle_model:cm g in
+  let r = Wr_sched.Backend.run (Resource.of_config config) ~cycle_model:cm g in
   let s = r.Wr_sched.Modulo.schedule in
   let a = Codegen.allocate g s in
   let counts = Codegen.word_counts g s a config in

@@ -12,8 +12,22 @@ let cycle_model = Cycle_model.Cycles_4
 let grid = [ (2, 1); (1, 2); (4, 1); (2, 2); (1, 4); (8, 1); (4, 2); (2, 4); (1, 8) ]
 
 let run ?(registers = [ 32; 64; 128; 256 ]) ?(suite_id = "suite") loops =
-  let baseline_cfg = Config.xwy ~registers:256 ~x:1 ~y:1 () in
-  let base = Evaluate.suite_on ~suite_id baseline_cfg ~cycle_model ~registers:256 loops in
+  let point ~x ~y z =
+    { Evaluate.config = Config.xwy ~registers:z ~x ~y (); cycle_model; registers = z }
+  in
+  (* One batch: the baseline, then every cell row by row, so each loop
+     is widened once per width and scheduled once per datapath for all
+     of its register files. *)
+  let base, aggs =
+    match
+      Evaluate.suites_on ~suite_id
+        (point ~x:1 ~y:1 256
+        :: List.concat_map (fun (x, y) -> List.map (point ~x ~y) registers) grid)
+        loops
+    with
+    | base :: aggs -> (base, aggs)
+    | [] -> assert false
+  in
   if base.Evaluate.unpipelined > 0 then
     if Evaluate.quarantined_count () = 0 then
       failwith "Spill_study: baseline 1w1/256 must pipeline every loop"
@@ -26,19 +40,16 @@ let run ?(registers = [ 32; 64; 128; 256 ]) ?(suite_id = "suite") loops =
          are computed against the degraded baseline\n\
          %!"
         base.Evaluate.unpipelined;
-  (* Grid rows are independent; each cell's suite evaluation fans out
-     over loops on the same pool (nested maps are safe). *)
-  Wr_util.Pool.parallel_list_map grid ~f:(fun (x, y) ->
-      let cells =
-        List.map
-          (fun z ->
-            let config = Config.xwy ~registers:z ~x ~y () in
-            let agg = Evaluate.suite_on ~suite_id config ~cycle_model ~registers:z loops in
-            if not (Evaluate.acceptable agg) then (z, Not_schedulable)
-            else (z, Speedup (base.Evaluate.total_cycles /. agg.Evaluate.total_cycles)))
-          registers
-      in
-      { config = Config.xwy ~x ~y (); cells })
+  let cell z agg =
+    if not (Evaluate.acceptable agg) then (z, Not_schedulable)
+    else (z, Speedup (base.Evaluate.total_cycles /. agg.Evaluate.total_cycles))
+  in
+  snd
+    (List.fold_left_map
+       (fun aggs (x, y) ->
+         let row, rest = Wr_util.Lists.split_at (List.length registers) aggs in
+         (rest, { config = Config.xwy ~x ~y (); cells = List.map2 cell registers row }))
+       aggs grid)
 
 (* Per-family cut of the same table.  The synthetic family of a bench
    run is the very loop array the main figure ran on, so it keeps the

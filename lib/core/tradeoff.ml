@@ -14,13 +14,15 @@ type point = {
   area : float;
 }
 
-let baseline_cfg = Config.xwy ~registers:32 ~partitions:1 ~x:1 ~y:1 ()
+let baseline =
+  {
+    Evaluate.config = Config.xwy ~registers:32 ~partitions:1 ~x:1 ~y:1 ();
+    cycle_model = Cycle_model.Cycles_4;
+    registers = 32;
+  }
 
-let baseline_wallclock ~suite_id loops =
-  let agg =
-    Evaluate.suite_on ~suite_id baseline_cfg ~cycle_model:Cycle_model.Cycles_4 ~registers:32
-      loops
-  in
+(* The baseline's wall-clock time (its Tc is 1), from its aggregate. *)
+let baseline_wallclock agg =
   if not (Evaluate.acceptable agg) then
     if Evaluate.quarantined_count () = 0 then
       failwith "Tradeoff: the 1w1(32:1) baseline must pipeline nearly every loop"
@@ -33,34 +35,50 @@ let baseline_wallclock ~suite_id loops =
          (quarantined) loops; speedups are computed against the degraded baseline\n\
          %!"
         (100.0 *. agg.Evaluate.unpipelined_weight);
-  agg.Evaluate.total_cycles *. 1.0
+  agg.Evaluate.total_cycles
 
-let evaluate ?(suite_id = "suite") loops (c : Config.t) =
-  let tc = Access_time.relative c in
-  let cycle_model = Access_time.cycle_model_of c in
-  let agg = Evaluate.suite_on ~suite_id c ~cycle_model ~registers:c.Config.registers loops in
-  if not (Evaluate.acceptable agg) then None
-  else begin
-    let wallclock = agg.Evaluate.total_cycles *. tc in
-    let base = baseline_wallclock ~suite_id loops in
-    Some
-      {
-        config = c;
-        tc;
-        cycle_model;
-        total_cycles = agg.Evaluate.total_cycles;
-        speedup = base /. wallclock;
-        area = Area.total_area c;
-      }
-  end
+(* Every configuration with the baseline, in one batch.  Each
+   candidate's cycle time is priced once, and its latency model derived
+   from it. *)
+let evaluate_all ~suite_id loops configs =
+  let priced =
+    List.map
+      (fun (c : Config.t) ->
+        let tc = Access_time.relative c in
+        (c, tc, Cycle_model.of_relative_cycle_time tc))
+      configs
+  in
+  let points =
+    List.map
+      (fun (c, _, cycle_model) ->
+        { Evaluate.config = c; cycle_model; registers = c.Config.registers })
+      priced
+  in
+  match Evaluate.suites_on ~suite_id (baseline :: points) loops with
+  | [] -> assert false
+  | base :: aggs ->
+      let base = baseline_wallclock base in
+      List.map2
+        (fun (config, tc, cycle_model) agg ->
+          if not (Evaluate.acceptable agg) then None
+          else
+            Some
+              {
+                config;
+                tc;
+                cycle_model;
+                total_cycles = agg.Evaluate.total_cycles;
+                speedup = base /. (agg.Evaluate.total_cycles *. tc);
+                area = Area.total_area config;
+              })
+        priced aggs
+
+let evaluate ?(suite_id = "suite") loops c = List.hd (evaluate_all ~suite_id loops [ c ])
 
 let panel ~suite_id ~title loops configs =
-  (* Fill the baseline's memo entry before fanning out so the parallel
-     points don't all recompute it on a cold cache. *)
-  ignore (baseline_wallclock ~suite_id loops);
   let rows =
-    Wr_util.Pool.parallel_list_map configs ~f:(fun c ->
-        match evaluate ~suite_id loops c with
+    List.map2
+      (fun (c : Config.t) -> function
         | Some p ->
             [
               Config.label p.config;
@@ -70,6 +88,8 @@ let panel ~suite_id ~title loops configs =
               Printf.sprintf "%.0f" (p.area /. 1e6);
             ]
         | None -> [ Config.label c; "-"; "-"; "n/a"; "-" ])
+      configs
+      (evaluate_all ~suite_id loops configs)
   in
   Table.render ~title
     ~headers:[ "config"; "Tc"; "latency model"; "speed-up"; "area (x10^6 l^2)" ]
@@ -102,24 +122,26 @@ let figure8 ?(suite_id = "suite") loops =
   String.concat "\n" [ a; b; c; d ]
 
 let figure9 ?(suite_id = "suite") ?(top = 5) loops =
-  ignore (baseline_wallclock ~suite_id loops);
-  List.map
-    (fun g ->
-      let candidates = Implementability.implementable_configs g in
-      (* Candidate configurations are independent design points; order
-         is preserved so the stable part of the sort below is
-         deterministic. *)
-      let points =
-        List.filter_map Fun.id
-          (Wr_util.Pool.parallel_list_map candidates ~f:(evaluate ~suite_id loops))
-      in
-      let sorted = List.sort (fun a b -> compare b.speedup a.speedup) points in
-      let rec take k = function
-        | [] -> []
-        | p :: rest -> if k = 0 then [] else p :: take (k - 1) rest
-      in
-      (g, take top sorted))
-    Sia.generations
+  let candidates =
+    List.map (fun g -> (g, Implementability.implementable_configs g)) Sia.generations
+  in
+  (* Every generation's candidates in one batch; a configuration an
+     earlier generation could already build is answered by the batch's
+     first copy of it. *)
+  let points = evaluate_all ~suite_id loops (List.concat_map snd candidates) in
+  let _, results =
+    List.fold_left_map
+      (fun points (g, configs) ->
+        let mine, rest = Wr_util.Lists.split_at (List.length configs) points in
+        (* Candidates keep their order, so the stable sort is
+           deterministic. *)
+        let ranked =
+          List.sort (fun a b -> compare b.speedup a.speedup) (List.filter_map Fun.id mine)
+        in
+        (rest, (g, fst (Wr_util.Lists.split_at top ranked))))
+      points candidates
+  in
+  results
 
 (* Per-family cut of Figure 9; same suite-id convention as
    Spill_study.run_families (the synthetic family shares the main run's
@@ -151,13 +173,15 @@ let figure9_text results =
        results)
 
 let conclusion ?(suite_id = "suite") loops =
-  ignore (baseline_wallclock ~suite_id loops);
   let best_partition x y =
     let candidates =
-      List.filter_map Fun.id
-        (Wr_util.Pool.parallel_list_map [ 1; 2; 4; 8 ] ~f:(fun n ->
-             if n > x || x mod n <> 0 then None
-             else evaluate ~suite_id loops (Config.xwy ~registers:128 ~partitions:n ~x ~y ())))
+      List.filter_map
+        (fun n ->
+          if n > x || x mod n <> 0 then None
+          else Some (Config.xwy ~registers:128 ~partitions:n ~x ~y ()))
+        [ 1; 2; 4; 8 ]
+      |> evaluate_all ~suite_id loops
+      |> List.filter_map Fun.id
     in
     match List.sort (fun a b -> compare b.speedup a.speedup) candidates with
     | best :: _ -> Some best

@@ -18,21 +18,50 @@ type outcome = Scheduled of success | Unschedulable of string
 
 type policy = Combined | Spill_only | Escalate_only
 
-(* One schedule-and-allocate probe.  The Fault.hit sites are inert
-   unless WR_FAULT is configured and an evaluation context is in scope
-   (see Wr_util.Fault); they exist so the resilience tests can prove
-   that a crash here degrades one point instead of killing a study. *)
-let probe resource ~cycle_model ~min_ii g =
+type probe = {
+  result : Modulo.result;
+  lifetimes : Lifetime.t list;
+  alloc : Alloc.t;
+  tally : Backend.tally;  (** the backend work that made [result] *)
+}
+
+(* The first probe (minimum II 1) on a run's input graph, once made. *)
+type memo = probe option ref
+
+let memo () : memo = ref None
+
+(* One schedule-and-allocate probe.  The first probe on the input graph
+   goes through [memo]: a hit replays the tally of the schedule it
+   reuses, and a probe that raises is never stored.  The Fault.hit
+   sites are inert unless WR_FAULT is configured and an evaluation
+   context is in scope (see Wr_util.Fault); they draw once per probe,
+   hit or miss, so the resilience tests see the same faults however
+   probes are shared. *)
+let probe ?memo resource ~cycle_model ~min_ii g =
   Wr_util.Fault.hit "sched";
-  let result = Backend.run resource ~cycle_model ~min_ii g in
+  let hit = match memo with Some m -> !m | None -> None in
+  let result, tally =
+    match hit with
+    | Some p -> (p.result, p.tally)
+    | None -> Backend.with_tally (fun () -> Backend.run resource ~cycle_model ~min_ii g)
+  in
+  Backend.replay tally;
   Wr_util.Fault.hit "alloc";
-  let lifetimes, alloc =
-    Obs.span "alloc" (fun () ->
-        let lifetimes = Lifetime.of_schedule g result.Modulo.schedule in
-        (lifetimes, Alloc.allocate ~ii:result.Modulo.schedule.Schedule.ii lifetimes))
+  let p =
+    match hit with
+    | Some p -> p
+    | None ->
+        let lifetimes, alloc =
+          Obs.span "alloc" (fun () ->
+              let lifetimes = Lifetime.of_schedule g result.Modulo.schedule in
+              (lifetimes, Alloc.allocate ~ii:result.Modulo.schedule.Schedule.ii lifetimes))
+        in
+        let p = { result; lifetimes; alloc; tally } in
+        Option.iter (fun m -> m := Some p) memo;
+        p
   in
   if Obs.enabled () then Obs.incr "driver/probes";
-  (result, lifetimes, alloc)
+  p
 
 (* Lever 1 (Llosa, MICRO-29): increase the II.  A slower loop overlaps
    fewer iterations, so the register requirement decreases
@@ -43,8 +72,8 @@ let probe resource ~cycle_model ~min_ii g =
 let escalate resource ~cycle_model ~registers ~lo ~cap g =
   Obs.span "driver/escalate" @@ fun () ->
   let fits_at ii =
-    let result, _, alloc = probe resource ~cycle_model ~min_ii:ii g in
-    if Alloc.fits alloc ~available:registers then Some (result, alloc) else None
+    let p = probe resource ~cycle_model ~min_ii:ii g in
+    if Alloc.fits p.alloc ~available:registers then Some (p.result, p.alloc) else None
   in
   match fits_at cap with
   | None -> None
@@ -75,13 +104,16 @@ let escalate resource ~cycle_model ~registers ~lo ~cap g =
 
 (* Lever 2: spill.  Store pressure-heavy values and reload them before
    use, rescheduling after every round; stop when the requirement
-   plateaus. *)
-let spill_loop resource ~cycle_model ~registers ~max_rounds g =
+   plateaus.  Round 0 probes the input graph at minimum II 1, so it
+   reuses the driver's first probe from [memo]; later rounds probe
+   spilled graphs, which nothing shares. *)
+let spill_loop memo resource ~cycle_model ~registers ~max_rounds g =
   Obs.span "driver/spill_loop" @@ fun () ->
   let spilled_ever = Hashtbl.create 16 in
   let reload_regs = Hashtbl.create 16 in
   let rec iterate g round stores loads prev_required stall =
-    let result, lifetimes, alloc = probe resource ~cycle_model ~min_ii:1 g in
+    let memo = if round = 0 then Some memo else None in
+    let { result; lifetimes; alloc; _ } = probe ?memo resource ~cycle_model ~min_ii:1 g in
     if Alloc.fits alloc ~available:registers then begin
       if Obs.enabled () then Obs.observe "spill/rounds_to_fit" round;
       Some (g, result, alloc, round, stores, loads)
@@ -111,9 +143,10 @@ let spill_loop resource ~cycle_model ~registers ~max_rounds g =
   in
   iterate g 0 0 0 max_int 0
 
-let run resource ~cycle_model ~registers ?(max_rounds = 16) ?(policy = Combined) g =
+let run resource ~cycle_model ~registers ?(max_rounds = 16) ?(policy = Combined) ?memo g =
   if registers <= 0 then invalid_arg "Driver.run: registers must be positive";
-  let result0, _, alloc0 = probe resource ~cycle_model ~min_ii:1 g in
+  let memo = match memo with Some m -> m | None -> ref None in
+  let { result = result0; alloc = alloc0; _ } = probe ~memo resource ~cycle_model ~min_ii:1 g in
   if Alloc.fits alloc0 ~available:registers then
     Scheduled
       {
@@ -141,7 +174,7 @@ let run resource ~cycle_model ~registers ?(max_rounds = 16) ?(policy = Combined)
     in
     let spilled =
       if policy = Escalate_only || cheap_escalation then None
-      else spill_loop resource ~cycle_model ~registers ~max_rounds g
+      else spill_loop memo resource ~cycle_model ~registers ~max_rounds g
     in
     match (escalated, spilled) with
     | Some (r, alloc), None ->

@@ -77,6 +77,19 @@ let note f =
   if Atomic.get active_tallies > 0 then
     match !(Domain.DLS.get tally_slot) with Some t -> f t | None -> ()
 
+(* A reused result adds the work that made it, so a point's tally
+   reads as if it had scheduled everything itself. *)
+let replay (r : tally) =
+  note (fun t ->
+      t.runs <- t.runs + r.runs;
+      t.evictions <- t.evictions + r.evictions;
+      t.solves <- t.solves + r.solves;
+      t.proved <- t.proved + r.proved;
+      t.unproved <- t.unproved + r.unproved;
+      t.fallback <- t.fallback + r.fallback;
+      t.nodes <- t.nodes + r.nodes;
+      t.iis_refuted <- t.iis_refuted + r.iis_refuted)
+
 let note_sched t (r : Modulo.result) =
   t.runs <- t.runs + 1;
   t.evictions <- t.evictions + r.Modulo.evictions

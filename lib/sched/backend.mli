@@ -57,6 +57,13 @@ val with_tally : (unit -> 'a) -> 'a * tally
     calling domain and returns [f]'s result alongside the filled
     tally. *)
 
+val replay : tally -> unit
+(** [replay t] adds a tally recorded earlier by {!with_tally} to the
+    calling domain's active tally (no-op when none is active).  A
+    caller that reuses a schedule instead of requesting it again
+    replays the schedule's tally, so the reusing point's tally is the
+    one it would have had. *)
+
 val run :
   Wr_machine.Resource.t ->
   cycle_model:Wr_machine.Cycle_model.t ->

@@ -249,7 +249,9 @@ let check_against_reference ?(file = `Conventional) (loop : Loop.t) (c : Config.
   let wide, _ = Wr_widen.Transform.widen loop ~width:c.Config.width in
   let g = wide.Loop.ddg in
   let cm = Cycle_model.Cycles_4 in
-  let sched = (Wr_sched.Modulo.run (Resource.of_config c) ~cycle_model:cm g).Wr_sched.Modulo.schedule in
+  let sched =
+    (Wr_sched.Backend.run (Resource.of_config c) ~cycle_model:cm g).Wr_sched.Modulo.schedule
+  in
   let sched = { sched with Schedule.cycle_model = cm } in
   let alloc =
     match file with

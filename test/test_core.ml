@@ -237,6 +237,88 @@ let test_clear_cache_drops_both_levels () =
   Alcotest.(check bool) "cleared: the pipeline runs again" true
     (Core.Evaluate.evaluations () > n)
 
+(* --- batches ------------------------------------------------------------------ *)
+
+module E = Core.Evaluate
+
+let fig3_points =
+  let point ~x ~y z =
+    { E.config = Config.xwy ~registers:z ~x ~y (); cycle_model = cm; registers = z }
+  in
+  point ~x:1 ~y:1 256
+  :: List.concat_map
+       (fun (x, y) -> List.map (point ~x ~y) [ 32; 64; 128; 256 ])
+       [ (2, 1); (1, 2); (4, 1); (2, 2); (1, 4); (8, 1); (4, 2); (2, 4); (1, 8) ]
+
+(* Every point of a batch evaluated alone, each from a cleared memo. *)
+let one_by_one ~suite_id points loops =
+  List.map
+    (fun (p : E.point) ->
+      E.clear_cache ();
+      E.suite_on ~suite_id p.E.config ~cycle_model:p.E.cycle_model ~registers:p.E.registers
+        loops)
+    points
+
+let test_batch_equals_points () =
+  let loops = Wr_workload.Suite.sample 20 in
+  E.clear_cache ();
+  let batch = E.suites_on ~suite_id:"batch-fig3" fig3_points loops in
+  let alone = one_by_one ~suite_id:"batch-fig3" fig3_points loops in
+  E.clear_cache ();
+  Alcotest.(check int) "37 cells" 37 (List.length batch);
+  List.iter2
+    (fun (p : E.point) (b, a) ->
+      Alcotest.(check bool) (Config.label p.E.config ^ " equals its point alone") true (b = a))
+    fig3_points (List.combine batch alone)
+
+(* Points that differ only in width, or only in cycle model, must not
+   share a schedule: each equals its point alone, and the two differ. *)
+let test_batch_shape_key () =
+  let loops = Wr_workload.Suite.sample 20 in
+  let check name points =
+    E.clear_cache ();
+    let batch = E.suites_on ~suite_id:"batch-shape" points loops in
+    Alcotest.(check bool) (name ^ ": equals the points alone") true
+      (batch = one_by_one ~suite_id:"batch-shape" points loops);
+    Alcotest.(check bool) (name ^ ": the points differ") true
+      (match batch with [ a; b ] -> a <> b | _ -> false);
+    E.clear_cache ()
+  in
+  let point ~x ~y ?(cycle_model = cm) z =
+    { E.config = Config.xwy ~registers:z ~x ~y (); cycle_model; registers = z }
+  in
+  check "2w1 and 2w2" [ point ~x:2 ~y:1 32; point ~x:2 ~y:2 32 ];
+  check "two cycle models"
+    [ point ~x:2 ~y:2 64; point ~x:2 ~y:2 ~cycle_model:Cycle_model.Cycles_2 64 ]
+
+(* A fault draw is per point and per probe, shared or not: a batch
+   quarantines exactly the points a point-by-point run does. *)
+let test_batch_quarantine_equals_points () =
+  let module Fault = Wr_util.Fault in
+  let loops = Wr_workload.Suite.sample 20 in
+  let quarantined () =
+    List.map
+      (fun (q : E.quarantine_record) ->
+        (q.E.q_index, q.E.q_config, q.E.q_registers, q.E.q_cycle_model, q.E.q_reason))
+      (E.quarantined ())
+  in
+  Fault.configure [ { Fault.site = "sched"; prob = 0.02; seed = 0xBADL; action = Fault.Raise } ];
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.configure [];
+      E.reset_quarantine ();
+      E.clear_cache ())
+    (fun () ->
+      E.clear_cache ();
+      E.reset_quarantine ();
+      let batch = E.suites_on ~suite_id:"batch-fault" fig3_points loops in
+      let batch_q = quarantined () in
+      E.reset_quarantine ();
+      let alone = one_by_one ~suite_id:"batch-fault" fig3_points loops in
+      Alcotest.(check bool) "some points quarantined" true (batch_q <> []);
+      Alcotest.(check bool) "same quarantine list" true (batch_q = quarantined ());
+      Alcotest.(check bool) "same aggregates" true (batch = alone))
+
 (* --- peak study (figure 2) -------------------------------------------------- *)
 
 let test_peak_monotone_in_factor () =
@@ -493,6 +575,19 @@ let test_ablation_rotating_text () =
   let s = Core.Ablation.rotating_file (Wr_workload.Suite.sample 15) in
   Alcotest.(check bool) "renders" true (String.length s > 200)
 
+(* ablation-rotating schedules through the backend seam, so the exact
+   backend reaches it. *)
+let test_ablation_rotating_follows_backend () =
+  let module Backend = Wr_sched.Backend in
+  Backend.set Backend.Exact;
+  Fun.protect
+    ~finally:(fun () -> Backend.set Backend.Heuristic)
+    (fun () ->
+      let _, tally =
+        Backend.with_tally (fun () -> Core.Ablation.rotating_file (Wr_workload.Suite.sample 2))
+      in
+      Alcotest.(check bool) "exact solves recorded" true (tally.Backend.solves >= 1))
+
 let test_ablation_levers_text () =
   let s = Core.Ablation.pressure_levers (Wr_workload.Suite.sample 20) in
   Alcotest.(check bool) "renders with policies" true (String.length s > 200)
@@ -547,6 +642,13 @@ let () =
           Alcotest.test_case "reports memo, store or fresh" `Quick
             test_loop_cached_reports_how_it_answered;
         ] );
+      ( "batch",
+        [
+          Alcotest.test_case "fig3 cells equal their points alone" `Slow test_batch_equals_points;
+          Alcotest.test_case "shape key has width and cycle model" `Quick test_batch_shape_key;
+          Alcotest.test_case "quarantine equals point by point" `Slow
+            test_batch_quarantine_equals_points;
+        ] );
       ( "peak_study",
         [
           Alcotest.test_case "monotone in factor" `Slow test_peak_monotone_in_factor;
@@ -581,6 +683,8 @@ let () =
         [
           Alcotest.test_case "icache ordering" `Slow test_icache_study_ordering;
           Alcotest.test_case "ablation rotating" `Slow test_ablation_rotating_text;
+          Alcotest.test_case "ablation rotating follows the backend" `Quick
+            test_ablation_rotating_follows_backend;
           Alcotest.test_case "ablation levers" `Slow test_ablation_levers_text;
           Alcotest.test_case "ablation levers charge the policy's fallback" `Slow
             test_ablation_levers_charge_policy_fallback;

@@ -281,6 +281,51 @@ let test_partitions_do_not_name_the_entry () =
   answers ~fill:[ parted; plain ] ~ask:[ plain; parted ];
   answers ~fill:[ plain; parted ] ~ask:[ parted; plain ]
 
+(* Three loops of the 120-loop sample that spill somewhere on Fig. 3's
+   grid (synth_0072, synth_0486, synth_0828). *)
+let spilling_loops =
+  let s = Wr_workload.Suite.sample 120 in
+  [| s.(8); s.(54); s.(92) |]
+
+(* The Fig. 3 ledger is the same whether the study evaluates its cells
+   as one batch, sharing widened bodies and probes, or point by point;
+   the shared probes' tallies are replayed into every point's record. *)
+let test_batch_ledger_equals_points () =
+  with_clean_state @@ fun () ->
+  Provenance.set_capture true;
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  with_tmp_file @@ fun batched ->
+  with_tmp_file @@ fun pointwise ->
+  ignore (Core.Spill_study.run ~suite_id:"prov-batch" spilling_loops);
+  Provenance.write batched;
+  let spilled =
+    List.find_opt
+      (fun (r : Provenance.t) ->
+        r.Provenance.loop = "synth_0486" && r.Provenance.config = "4w2(64)")
+      (Provenance.records ())
+  in
+  Evaluate.clear_cache ();
+  Provenance.reset ();
+  let eval config z =
+    ignore
+      (Evaluate.suite_on ~suite_id:"prov-batch" config ~cycle_model:cm ~registers:z
+         spilling_loops)
+  in
+  eval (Config.xwy ~registers:256 ~x:1 ~y:1 ()) 256;
+  List.iter
+    (fun (x, y) ->
+      List.iter (fun z -> eval (Config.xwy ~registers:z ~x ~y ()) z) [ 32; 64; 128; 256 ])
+    [ (2, 1); (1, 2); (4, 1); (2, 2); (1, 4); (8, 1); (4, 2); (2, 4); (1, 8) ];
+  Provenance.write pointwise;
+  Alcotest.(check bool) "ledger bytes identical" true
+    (String.equal (read batched) (read pointwise));
+  match spilled with
+  | None -> Alcotest.fail "no record for synth_0486 on 4w2(64)"
+  | Some r ->
+      Alcotest.(check int) "spill rounds" 1 r.Provenance.spill_rounds;
+      Alcotest.(check int) "sched runs" 8 r.Provenance.sched_runs;
+      Alcotest.(check int) "evictions" 16 r.Provenance.evictions
+
 let test_wall_opt_in () =
   with_clean_state @@ fun () ->
   Provenance.set_capture true;
@@ -488,6 +533,8 @@ let () =
             test_store_key_follows_the_loop_passed;
           Alcotest.test_case "partitions do not name the entry" `Quick
             test_partitions_do_not_name_the_entry;
+          Alcotest.test_case "batch ledger equals point by point" `Quick
+            test_batch_ledger_equals_points;
           Alcotest.test_case "wall time is opt-in" `Quick test_wall_opt_in;
           Alcotest.test_case "line discipline round-trips" `Quick
             test_ledger_line_roundtrip;
