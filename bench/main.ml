@@ -25,7 +25,7 @@ module Run_options = Wr_cli.Run_options
 let experiments =
   [ "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "fig2"; "fig3"; "fig4";
     "fig6"; "fig7"; "fig8"; "fig9"; "conclusion"; "ablation-compact"; "ablation-levers";
-    "ablation-rotating"; "ablation-ordering"; "icache"; "traffic"; "dcache"; "balance";
+    "ablation-rotating"; "icache"; "traffic"; "dcache"; "balance";
     "endtoend"; "gap"; "fuzz"; "profile" ]
 
 (* Exit codes (documented in the README): 0 success, 1 usage error,
@@ -163,9 +163,8 @@ let ( run_options,
       `S Manpage.s_description;
       `P "The ledger and artifact tools take positional files instead: $(b,report) LEDGER, \
           $(b,diff) OLD NEW [--threshold PCT] and $(b,validate) BENCH.json...";
-      `P "$(b,--backend) reaches every experiment that schedules, except \
-          $(b,ablation-ordering): it compares the heuristic scheduler's own priority \
-          orderings, so it always runs the heuristic.";
+      `P "$(b,--backend) selects the scheduler of every experiment that schedules; \
+          $(b,gap) and $(b,fuzz --backend-diff) compare the two backends, so they run both.";
     ]
   in
   let info = Cmd.info "main.exe" ~doc:"Regenerate the paper's tables and figures" ~man in
@@ -316,12 +315,6 @@ let run_experiment id =
       print_string (Core.Ablation.rotating_file (Wr_workload.Suite.sample 80));
       paper_note
         "Beyond the paper: the wands model prices a rotating register file; a conventional file (modulo variable expansion) needs ~1.3-1.5x the registers and up to 12x kernel code growth."
-  | "ablation-ordering" ->
-      print_string (Core.Ablation.scheduler_orderings (Wr_workload.Suite.sample 150));
-      paper_note
-        "Beyond the paper: IMS height priority vs the authors' later SMS swing ordering — \
-         both reach the MII on almost every loop; SMS trades a little II robustness for \
-         shorter lifetimes.";
   | "icache" ->
       print_string (Core.Icache_study.to_text (Core.Icache_study.run (Wr_workload.Suite.sample 200)));
       paper_note

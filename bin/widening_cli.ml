@@ -1,21 +1,20 @@
 (* Command-line interface to the widening-resources study (the paper's
    tables and figures are regenerated by bench/main.exe).
 
-   widening-cli schedule daxpy -c 4w2(128:2)
-   widening-cli configs -g 0.18          implementable configurations
-   widening-cli workload                 suite statistics
-   widening-cli dot dot_product          DOT dump of a kernel
-   widening-cli serve --socket PATH      design-space query daemon *)
+   widening-cli check daxpy -c 4w2(64)      every oracle on one kernel or .wr file
+   widening-cli workload                    suite statistics
+   widening-cli serve --socket PATH         design-space query daemon
+   widening-cli query point --socket PATH   one point from the daemon
+   widening-cli store stat DIR              inspect a result store *)
 
 open Cmdliner
 
 module Config = Wr_machine.Config
 module Cycle_model = Wr_machine.Cycle_model
-module Resource = Wr_machine.Resource
 module Loop = Wr_ir.Loop
 module Run_options = Wr_cli.Run_options
 
-(* --- schedule --------------------------------------------------------- *)
+(* --- check -------------------------------------------------------------- *)
 
 let find_kernel name =
   match List.assoc_opt name (Wr_workload.Kernels.all ()) with
@@ -24,141 +23,6 @@ let find_kernel name =
       Error
         (Printf.sprintf "unknown kernel %s (available: %s)" name
            (String.concat ", " (List.map fst (Wr_workload.Kernels.all ()))))
-
-let run_schedule kernel config_str verbose backend =
-  Option.iter Wr_sched.Backend.set backend;
-  match (find_kernel kernel, Config.parse config_str) with
-  | Error e, _ -> prerr_endline e; exit 1
-  | _, Error e -> prerr_endline e; exit 1
-  | Ok loop, Ok cfg ->
-      let tc = Wr_cost.Access_time.relative cfg in
-      let cm = Wr_cost.Access_time.cycle_model_of cfg in
-      let prepared, stats = Wr_widen.Transform.widen loop ~width:cfg.Config.width in
-      Printf.printf "kernel %s on %s: Tc=%.2f, %s\n" kernel (Config.label cfg) tc
-        (Cycle_model.to_string cm);
-      Format.printf "%a@." Wr_widen.Transform.pp_stats stats;
-      (match
-         Wr_regalloc.Driver.run (Resource.of_config cfg) ~cycle_model:cm
-           ~registers:cfg.Config.registers prepared.Loop.ddg
-       with
-      | Wr_regalloc.Driver.Scheduled s ->
-          Printf.printf "II=%d (MII=%d), stages=%d, registers=%d (MaxLives=%d), spill=%d+%d\n"
-            s.Wr_regalloc.Driver.schedule.Wr_sched.Schedule.ii s.Wr_regalloc.Driver.mii
-            (Wr_sched.Schedule.stage_count s.Wr_regalloc.Driver.schedule)
-            s.Wr_regalloc.Driver.alloc.Wr_regalloc.Alloc.required
-            s.Wr_regalloc.Driver.alloc.Wr_regalloc.Alloc.max_lives
-            s.Wr_regalloc.Driver.stores_added s.Wr_regalloc.Driver.loads_added;
-          if verbose then
-            print_string
-              (Wr_sched.Schedule.kernel_view prepared.Loop.ddg (Resource.of_config cfg)
-                 s.Wr_regalloc.Driver.schedule)
-      | Wr_regalloc.Driver.Unschedulable msg ->
-          Printf.printf "unschedulable: %s\n" msg)
-
-let schedule_cmd =
-  let kernel =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
-  in
-  let config =
-    Arg.(value & opt string "4w2(128:2)"
-         & info [ "c"; "config" ] ~docv:"CONFIG" ~doc:"Configuration, e.g. 4w2(128:2).")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the full kernel schedule.")
-  in
-  Cmd.v
-    (Cmd.info "schedule" ~doc:"Software-pipeline one kernel on a configuration")
-    Term.(const run_schedule $ kernel $ config $ verbose $ Run_options.backend)
-
-(* --- configs ---------------------------------------------------------- *)
-
-let run_configs lambda =
-  match Wr_cost.Sia.by_lambda lambda with
-  | None -> Printf.eprintf "no SIA generation with lambda=%.2f\n" lambda
-  | Some g ->
-      Printf.printf "Implementable configurations at %s (20%% budget):\n" (Wr_cost.Sia.label g);
-      List.iter
-        (fun c ->
-          Printf.printf "  %-14s area=%7.0fe6 l^2 (%4.1f%% die)  Tc=%.2f (%s)\n"
-            (Config.label c)
-            (Wr_cost.Area.total_area c /. 1e6)
-            (100.0 *. Wr_cost.Area.chip_fraction c g)
-            (Wr_cost.Access_time.relative c)
-            (Cycle_model.to_string (Wr_cost.Access_time.cycle_model_of c)))
-        (Core.Implementability.implementable_configs g)
-
-let configs_cmd =
-  let lambda =
-    Arg.(value & opt float 0.25
-         & info [ "g"; "lambda" ] ~docv:"UM" ~doc:"Feature size: 0.25, 0.18, 0.13, 0.10 or 0.07.")
-  in
-  Cmd.v
-    (Cmd.info "configs" ~doc:"List implementable configurations for a technology")
-    Term.(const run_configs $ lambda)
-
-(* --- file --------------------------------------------------------------- *)
-
-let file_cmd =
-  let path =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Loop source file.")
-  in
-  let config =
-    Arg.(value & opt (some string) None
-         & info [ "c"; "config" ] ~docv:"CONFIG"
-             ~doc:"Also software-pipeline each loop on this configuration.")
-  in
-  let run path config_str =
-    let source = In_channel.with_open_text path In_channel.input_all in
-    match Wr_ir.Text_format.parse source with
-    | Error e ->
-        (* The file exists but its content is bad: a runtime failure
-           (2), not a usage error (1). *)
-        Printf.eprintf "%s: %s
-" path e;
-        exit 2
-    | Ok loops ->
-        Printf.printf "%s: %d loop(s)
-" path (List.length loops);
-        List.iter
-          (fun (l : Loop.t) ->
-            Printf.printf "  %s: %d ops, trip %d, weight %g%s
-" l.Loop.name (Loop.num_ops l)
-              l.Loop.trip_count l.Loop.weight
-              (if Wr_ir.Ddg.has_recurrence l.Loop.ddg then " (recurrence)" else ""))
-          loops;
-        match config_str with
-        | None -> ()
-        | Some cs -> (
-            match Config.parse cs with
-            | Error e ->
-                prerr_endline e;
-                exit 1
-            | Ok cfg ->
-                let cm = Wr_cost.Access_time.cycle_model_of cfg in
-                List.iter
-                  (fun (l : Loop.t) ->
-                    let wide, _ = Wr_widen.Transform.widen l ~width:cfg.Config.width in
-                    match
-                      Wr_regalloc.Driver.run (Resource.of_config cfg) ~cycle_model:cm
-                        ~registers:cfg.Config.registers wide.Loop.ddg
-                    with
-                    | Wr_regalloc.Driver.Scheduled s ->
-                        Printf.printf "  %s on %s: II=%d (MII=%d), %d registers
-" l.Loop.name
-                          (Config.label cfg) s.Wr_regalloc.Driver.schedule.Wr_sched.Schedule.ii
-                          s.Wr_regalloc.Driver.mii
-                          s.Wr_regalloc.Driver.alloc.Wr_regalloc.Alloc.required
-                    | Wr_regalloc.Driver.Unschedulable m ->
-                        Printf.printf "  %s on %s: unschedulable (%s)
-" l.Loop.name
-                          (Config.label cfg) m)
-                  loops)
-  in
-  Cmd.v
-    (Cmd.info "file" ~doc:"Parse loops from a text file and optionally schedule them")
-    Term.(const run $ path $ config)
-
-(* --- check -------------------------------------------------------------- *)
 
 let check_cmd =
   let target =
@@ -247,90 +111,7 @@ let check_cmd =
              loop file with the independent invariant oracles")
     Term.(const run $ target $ config $ cycles $ policy)
 
-(* --- codegen / simulate -------------------------------------------------- *)
-
-let prepare_for kernel config_str =
-  match (find_kernel kernel, Config.parse config_str) with
-  | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 1
-  | Ok loop, Ok cfg ->
-      let wide, _ = Wr_widen.Transform.widen loop ~width:cfg.Config.width in
-      let g = wide.Loop.ddg in
-      let r =
-        Wr_sched.Backend.run (Resource.of_config cfg) ~cycle_model:Cycle_model.Cycles_4 g
-      in
-      (loop, wide, g, r.Wr_sched.Modulo.schedule, cfg)
-
-let codegen_cmd =
-  let kernel =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
-  in
-  let config =
-    Arg.(value & opt string "2w2(64)"
-         & info [ "c"; "config" ] ~docv:"CONFIG" ~doc:"Configuration, e.g. 2w2(64).")
-  in
-  let full =
-    Arg.(value & opt (some int) None
-         & info [ "full" ] ~docv:"N"
-             ~doc:"Emit the complete flat program for N iterations (prologue/kernel/drain) \
-                   instead of the steady-state kernel.")
-  in
-  let run kernel config_str full =
-    let _, _, g, s, cfg = prepare_for kernel config_str in
-    let a = Wr_vliw.Codegen.allocate g s in
-    (match full with
-    | Some n -> print_string (Wr_vliw.Codegen.emit_program g s a cfg ~iterations:n)
-    | None -> print_string (Wr_vliw.Codegen.emit g s a cfg));
-    let counts = Wr_vliw.Codegen.word_counts g s a cfg in
-    Printf.printf
-      "
-; prologue %d words, kernel %d words, epilogue %d words; %d filled / %d nop slots
-"
-      counts.Wr_vliw.Codegen.prologue_words counts.Wr_vliw.Codegen.kernel_words
-      counts.Wr_vliw.Codegen.epilogue_words counts.Wr_vliw.Codegen.filled_slots
-      counts.Wr_vliw.Codegen.nop_slots
-  in
-  Cmd.v
-    (Cmd.info "codegen" ~doc:"Emit the MVE-unrolled VLIW kernel for a kernel/configuration")
-    Term.(const run $ kernel $ config $ full)
-
-let simulate_cmd =
-  let kernel =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
-  in
-  let config =
-    Arg.(value & opt string "2w2(64)"
-         & info [ "c"; "config" ] ~docv:"CONFIG" ~doc:"Configuration, e.g. 2w2(64).")
-  in
-  let iters =
-    Arg.(value & opt int 20 & info [ "n"; "iterations" ] ~docv:"N" ~doc:"Wide iterations.")
-  in
-  let run kernel config_str iterations =
-    match (find_kernel kernel, Config.parse config_str) with
-    | Error e, _ | _, Error e ->
-        prerr_endline e;
-        exit 1
-    | Ok loop, Ok cfg -> (
-        match Wr_vliw.Sim.check_against_reference loop cfg ~iterations with
-        | Ok sim ->
-            Printf.printf
-              "simulated %d wide iterations on %s: %d cycles (steady-state model %d), %d                instances issued
-               memory image matches the reference interpreter bit-for-bit.
-"
-              iterations (Config.label cfg) sim.Wr_vliw.Sim.cycles
-              sim.Wr_vliw.Sim.kernel_cycles sim.Wr_vliw.Sim.issued
-        | Error msg ->
-            Printf.printf "MISMATCH: %s
-" msg;
-            exit 2)
-  in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Cycle-level simulation of a kernel, validated against the interpreter")
-    Term.(const run $ kernel $ config $ iters)
-
-(* --- workload / dot ---------------------------------------------------- *)
+(* --- workload ----------------------------------------------------------- *)
 
 let workload_cmd =
   let run sample =
@@ -340,27 +121,6 @@ let workload_cmd =
   Cmd.v
     (Cmd.info "workload" ~doc:"Print aggregate statistics of the loop suite")
     Term.(const run $ Run_options.sample)
-
-let dot_cmd =
-  let kernel =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"KERNEL" ~doc:"Kernel name, or a .wr loop file path.")
-  in
-  let run kernel =
-    if Sys.file_exists kernel then begin
-      let source = In_channel.with_open_text kernel In_channel.input_all in
-      match Wr_ir.Text_format.parse source with
-      | Ok loops -> List.iter (fun l -> print_string (Wr_ir.Dot.of_loop l)) loops
-      | Error e -> prerr_endline e; exit 2
-    end
-    else
-      match find_kernel kernel with
-      | Ok loop -> print_string (Wr_ir.Dot.of_loop loop)
-      | Error e -> prerr_endline e; exit 1
-  in
-  Cmd.v
-    (Cmd.info "dot" ~doc:"Dump a kernel's (or .wr file's) dependence graph as Graphviz DOT")
-    Term.(const run $ kernel)
 
 (* --- serve / query / store ---------------------------------------------- *)
 
@@ -571,8 +331,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [
-           schedule_cmd; configs_cmd; workload_cmd; dot_cmd; codegen_cmd;
-           simulate_cmd; file_cmd; check_cmd; serve_cmd; query_cmd; store_cmd;
+           check_cmd; workload_cmd; serve_cmd; query_cmd; store_cmd;
          ])
   in
   (* Standardized exit codes: cmdliner reports its own parse/usage

@@ -27,9 +27,6 @@ val positive : int Cmdliner.Arg.conv
 
 val term : t Cmdliner.Term.t
 
-val backend : Wr_sched.Backend.kind option Cmdliner.Term.t
-(** [--backend] alone, for commands that take no other run option. *)
-
 val sample : int option Cmdliner.Term.t
 (** [-s/--sample N]: a deterministic N-loop subsample of the suite. *)
 

@@ -101,49 +101,6 @@ let pressure_levers loops =
     ~headers:[ "config"; "policy"; "speed-up"; "fallback" ]
     rows
 
-(* --- scheduler orderings -------------------------------------------------- *)
-
-let scheduler_orderings loops =
-  let evaluate ordering (x, y) =
-    let resource = Resource.of_config (Config.xwy ~x ~y ()) in
-    let ii_excess = ref 0 and total = ref 0 and regs = ref 0 in
-    Array.iter
-      (fun (loop : Loop.t) ->
-        let wide, _ = Wr_widen.Transform.widen loop ~width:y in
-        let g = wide.Loop.ddg in
-        let r = Wr_sched.Modulo.run resource ~cycle_model:cm ~ordering g in
-        let s = r.Wr_sched.Modulo.schedule in
-        incr total;
-        if s.Schedule.ii > r.Wr_sched.Modulo.mii then incr ii_excess;
-        let lts = Wr_regalloc.Lifetime.of_schedule g s in
-        let a = Wr_regalloc.Alloc.allocate ~ii:s.Schedule.ii lts in
-        regs := !regs + a.Wr_regalloc.Alloc.required)
-      loops;
-    ( 100.0 *. float_of_int !ii_excess /. float_of_int (Stdlib.max 1 !total),
-      float_of_int !regs /. float_of_int (Stdlib.max 1 !total) )
-  in
-  let rows =
-    List.concat_map
-      (fun (x, y) ->
-        List.map
-          (fun (name, ordering) ->
-            let miss, regs = evaluate ordering (x, y) in
-            [
-              Printf.sprintf "%dw%d" x y;
-              name;
-              Printf.sprintf "%.1f%%" miss;
-              Printf.sprintf "%.1f" regs;
-            ])
-          [ ("IMS height", `Ims); ("SMS swing", `Sms) ])
-      [ (1, 1); (2, 1); (2, 2); (4, 2); (8, 1) ]
-  in
-  Table.render
-    ~title:
-      "Ablation: scheduler orderings — loops not achieving the MII, and mean register \
-       requirement (lower is better on both)"
-    ~headers:[ "config"; "ordering"; "II > MII"; "mean regs" ]
-    rows
-
 (* --- rotating vs conventional register file ------------------------------ *)
 
 let rotating_file loops =

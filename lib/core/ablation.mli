@@ -29,13 +29,6 @@ val pressure_levers : Wr_ir.Loop.t array -> string
     pipeline is charged its unpipelined fallback
     ({!Evaluate.loop_on} [~policy]). *)
 
-val scheduler_orderings : Wr_ir.Loop.t array -> string
-(** IMS height-priority vs SMS swing ordering: achieved II relative to
-    the MII and the register requirement, per configuration — the
-    scheduler-quality ablation.  It compares orderings of the heuristic
-    scheduler, so it calls {!Wr_sched.Modulo.run} directly and ignores
-    the selected {!Wr_sched.Backend}. *)
-
 val rotating_file : Wr_ir.Loop.t array -> string
 (** Register requirements per configuration under three views: the
     wands pricing model (what the study's allocator charges), an actual

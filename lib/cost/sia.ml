@@ -49,6 +49,4 @@ let generations =
 
 let by_year y = List.find_opt (fun g -> g.year = y) generations
 
-let by_lambda l = List.find_opt (fun g -> Float.abs (g.lambda_um -. l) < 1e-9) generations
-
 let label g = Printf.sprintf "%.2fum (%d)" g.lambda_um g.year

@@ -14,8 +14,6 @@ val generations : generation list
 (** 1998, 2001, 2004, 2007, 2010 — in order. *)
 
 val by_year : int -> generation option
-val by_lambda : float -> generation option
-(** Lookup by feature size (0.25, 0.18, 0.13, 0.10, 0.07). *)
 
 val label : generation -> string
 (** E.g. ["0.25um (1998)"]. *)

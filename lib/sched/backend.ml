@@ -113,16 +113,16 @@ let exact_max_nodes = 50_000
 let refined (r : Exact.t) : Modulo.result =
   { r.base with Modulo.schedule = r.schedule }
 
-let run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii ?ordering g =
+let run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii g =
   match Atomic.get current_kind with
   | Heuristic ->
       (* The default: a verbatim heuristic call, so every study CSV is
          byte-identical to the pre-seam pipeline. *)
-      let r = Modulo.run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii ?ordering g in
+      let r = Modulo.run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii g in
       note (fun t -> note_sched t r);
       r
   | Exact ->
-      let base = Modulo.run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii ?ordering g in
+      let base = Modulo.run resource ~cycle_model ?budget_ratio ?min_ii ?max_ii g in
       let e =
         Exact.solve resource ~cycle_model ~max_nodes:exact_max_nodes ?min_ii ?max_ii ~base g
       in

@@ -1,8 +1,8 @@
 (** Scheduler backend seam.
 
     Every pipeline consumer (the register-allocation driver, the
-    unschedulable fallback in [Core.Evaluate], the CLI schedule
-    command) requests schedules through {!run} instead of calling
+    unschedulable fallback in [Core.Evaluate], the cycle-level
+    simulator) requests schedules through {!run} instead of calling
     {!Modulo.run} directly, so the scheduler implementation is
     swappable per process:
 
@@ -70,7 +70,6 @@ val run :
   ?budget_ratio:int ->
   ?min_ii:int ->
   ?max_ii:int ->
-  ?ordering:[ `Ims | `Sms ] ->
   Wr_ir.Ddg.t ->
   Modulo.result
 (** Schedule through the selected backend.  The signature (and with

@@ -120,7 +120,7 @@ let heights_into (view : Ddg.edge_view) delays ~ii ~rec_mii s =
 
 (* One scheduling attempt at a fixed II.  Returns the times array and
    the number of placements used, or None on budget exhaustion. *)
-let attempt ~cycle_model g ~view ~delays ~ii ~rec_mii ~critical ~budget ~ordering s =
+let attempt ~view ~delays ~ii ~rec_mii ~critical ~budget s =
   let n = s.n in
   heights_into view delays ~ii ~rec_mii s;
   let h = s.h in
@@ -140,24 +140,19 @@ let attempt ~cycle_model g ~view ~delays ~ii ~rec_mii ~critical ~budget ~orderin
      attempt, so the placement loop pays nothing for them. *)
   let evictions = ref 0 in
   let forces = ref 0 in
-  (* Static priority order.  IMS: critical recurrences first, then
-     greater height, then lower id for determinism.  SMS: the
-     lifetime-sensitive swing order.  A cursor walks the order;
-     evictions rewind it, so pick() is O(1) amortized instead of a
-     linear scan per placement. *)
+  (* Static priority order: critical recurrences first, then greater
+     height, then lower id for determinism.  The comparator is a total
+     order, so sorting whatever permutation the previous attempt left
+     behind is deterministic.  A cursor walks the order; evictions
+     rewind it, so pick() is O(1) amortized instead of a linear scan
+     per placement. *)
   let order = s.order in
-  (match ordering with
-  | `Sms -> Array.blit (Sms_order.compute ~cycle_model g ~ii) 0 order 0 n
-  | `Ims ->
-      (* The comparator is a total order, so sorting whatever
-         permutation the previous attempt left behind is
-         deterministic. *)
-      Array.sort
-        (fun a b ->
-          match compare critical.(b) critical.(a) with
-          | 0 -> ( match compare h.(b) h.(a) with 0 -> compare a b | c -> c)
-          | c -> c)
-        order);
+  Array.sort
+    (fun a b ->
+      match compare critical.(b) critical.(a) with
+      | 0 -> ( match compare h.(b) h.(a) with 0 -> compare a b | c -> c)
+      | c -> c)
+    order;
   let position = s.position in
   Array.iteri (fun pos i -> position.(i) <- pos) order;
   let cursor = ref 0 in
@@ -307,7 +302,7 @@ let attempt ~cycle_model g ~view ~delays ~ii ~rec_mii ~critical ~budget ~orderin
   end;
   ((if !ok then Some (Array.copy time) else None), !placements, !evictions)
 
-let run resource ~cycle_model ?(budget_ratio = 8) ?(min_ii = 1) ?max_ii ?(ordering = `Ims) g =
+let run resource ~cycle_model ?(budget_ratio = 8) ?(min_ii = 1) ?max_ii g =
   let n = Ddg.num_ops g in
   let res_mii = Mii.res_mii resource ~cycle_model g in
   let rec_mii = Mii.rec_mii ~cycle_model g in
@@ -341,11 +336,7 @@ let run resource ~cycle_model ?(budget_ratio = 8) ?(min_ii = 1) ?max_ii ?(orderi
         failwith
           (Printf.sprintf "Modulo.run: no schedule found up to II=%d (%d ops)" max_ii n)
       else
-        (* The swing order has no backtracking discipline of its own;
-           if it cannot close a schedule near the MII, fall back to the
-           eviction-hardened IMS priority for the larger IIs. *)
-        let ordering = if ordering = `Sms && ii > mii + 4 then `Ims else ordering in
-        match attempt ~cycle_model g ~view ~delays ~ii ~rec_mii ~critical ~budget ~ordering s with
+        match attempt ~view ~delays ~ii ~rec_mii ~critical ~budget s with
         | Some times, p, e ->
             total_placements := !total_placements + p;
             total_evictions := !total_evictions + e;

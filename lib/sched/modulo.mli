@@ -34,7 +34,6 @@ val run :
   ?budget_ratio:int ->
   ?min_ii:int ->
   ?max_ii:int ->
-  ?ordering:[ `Ims | `Sms ] ->
   Wr_ir.Ddg.t ->
   result
 (** Schedules the graph.  [budget_ratio] (default 8) bounds placements
@@ -46,9 +45,7 @@ val run :
     delay) at which scheduling always succeeds; if even that fails,
     raises [Failure] (indicates a bug rather than an unschedulable
     input, since every graph accepted by {!Wr_ir.Ddg.create} has a
-    valid schedule).  [ordering] picks the priority order: [`Ims]
-    (default, critical-recurrence/height) or [`Sms]
-    ({!Sms_order}). *)
+    valid schedule). *)
 
 val empty_schedule : cycle_model:Wr_machine.Cycle_model.t -> Schedule.t
 (** Schedule of the empty graph (II = 1). *)

@@ -96,38 +96,6 @@ let cycles t ~trip_count =
   else if trip_count = 0 || Array.length t.times = 0 then 0
   else ((trip_count - 1) * t.ii) + span t
 
-let kernel_view g resource t =
-  let buf = Buffer.create 1024 in
-  let bus_cap = Resource.slots resource Opcode.Bus in
-  let fpu_cap = Resource.slots resource Opcode.Fpu in
-  Buffer.add_string buf
-    (Printf.sprintf "kernel: II=%d, %d stages, %d/%d bus/FPU slots per cycle\n" t.ii
-       (stage_count t) bus_cap fpu_cap);
-  for slot = 0 to t.ii - 1 do
-    let here =
-      List.filter
-        (fun (o : Operation.t) -> t.times.(o.Operation.id) mod t.ii = slot)
-        (Array.to_list (Ddg.ops g))
-    in
-    let count cls =
-      List.length
-        (List.filter
-           (fun (o : Operation.t) -> Opcode.resource_class o.Operation.opcode = cls)
-           here)
-    in
-    Buffer.add_string buf
-      (Printf.sprintf "  slot %2d [bus %d/%d, fpu %d/%d]: %s\n" slot (count Opcode.Bus)
-         bus_cap (count Opcode.Fpu) fpu_cap
-         (String.concat "; "
-            (List.map
-               (fun (o : Operation.t) ->
-                 Printf.sprintf "op%d:%s(s%d)" o.Operation.id
-                   (Opcode.to_string o.Operation.opcode)
-                   (t.times.(o.Operation.id) / t.ii))
-               here)))
-  done;
-  Buffer.contents buf
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>schedule: II=%d, stages=%d@," t.ii (stage_count t);
   Array.iteri

@@ -41,8 +41,3 @@ val cycles : t -> trip_count:int -> int
     by consumers that care about short trips.) *)
 
 val pp : Format.formatter -> t -> unit
-
-val kernel_view : Wr_ir.Ddg.t -> Wr_machine.Resource.t -> t -> string
-(** A human-readable occupancy table of the steady-state kernel: one
-    row per kernel slot, the operations issued there, and the bus/FPU
-    usage against the machine's capacity. *)

@@ -115,69 +115,6 @@ let word_counts g (s : Schedule.t) a (c : Config.t) =
   { prologue_words; kernel_words; epilogue_words; nop_slots; filled_slots = kernel_filled + ramp_filled }
   |> fun x -> { x with nop_slots = Stdlib.max 0 nop_slots }
 
-(* Text of one operation instance at a concrete iteration. *)
-let instance_text g a (o : Operation.t) ~iteration =
-  let u = o.Operation.id in
-  let operand k r =
-    let x = List.nth (Ddg.operands g u) k in
-    let reg =
-      physical_of_instance a ~vreg:r ~iteration:(iteration - x.Ddg.distance)
-    in
-    match x.Ddg.lane with
-    | None -> Printf.sprintf "r%d" reg
-    | Some lane -> Printf.sprintf "r%d[%d]" reg lane
-  in
-  let dst =
-    match o.Operation.def with
-    | Some r -> Printf.sprintf "r%d <- " (physical_of_instance a ~vreg:r ~iteration)
-    | None -> ""
-  in
-  let srcs = List.mapi operand o.Operation.uses in
-  let mem =
-    match o.Operation.mem with
-    | Some mr ->
-        [
-          Printf.sprintf "A%d[%d]" mr.Memref.array_id
-            (Memref.address_at mr ~iteration);
-        ]
-    | None -> []
-  in
-  let base = Opcode.to_string o.Operation.opcode in
-  let base = if o.Operation.lanes > 1 then Printf.sprintf "%s.w%d" base o.Operation.lanes else base in
-  Printf.sprintf "%s%s %s" dst base (String.concat ", " (srcs @ mem))
-
-let emit_program g (s : Schedule.t) a (c : Config.t) ~iterations =
-  if iterations <= 0 then invalid_arg "Codegen.emit_program: iterations must be positive";
-  let ii = s.Schedule.ii in
-  let stages = Schedule.stage_count s in
-  let last = ((iterations - 1) * ii) + Schedule.span s in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf
-    (Printf.sprintf "; %s: %d iterations, II=%d, %d stages, %d physical registers\n"
-       (Config.label c) iterations ii stages a.total_registers);
-  let steady_from = (stages - 1) * ii in
-  let steady_to = iterations * ii in
-  for t = 0 to last - 1 do
-    if t = steady_from && steady_from < steady_to then
-      Buffer.add_string buf "; --- steady state (hardware loops over this region) ---\n";
-    if t = steady_to && steady_to > steady_from then
-      Buffer.add_string buf "; --- drain ---\n";
-    let slots = ref [] in
-    Array.iter
-      (fun (o : Operation.t) ->
-        let d = t - s.Schedule.times.(o.Operation.id) in
-        if d >= 0 && d mod ii = 0 then begin
-          let i = d / ii in
-          if i < iterations then
-            slots := instance_text g a o ~iteration:i :: !slots
-        end)
-      (Ddg.ops g);
-    Buffer.add_string buf
-      (Printf.sprintf "%4d: %s\n" t
-         (if !slots = [] then "nop" else String.concat "  ||  " (List.rev !slots)))
-  done;
-  Buffer.contents buf
-
 let mnemonic (o : Operation.t) =
   let base = Opcode.to_string o.Operation.opcode in
   if o.Operation.lanes > 1 then Printf.sprintf "%s.w%d" base o.Operation.lanes else base

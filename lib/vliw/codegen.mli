@@ -56,17 +56,3 @@ val emit :
   string
 (** Human-readable assembly listing of the unrolled steady-state
     kernel, one line per instruction word, slots separated by [ || ]. *)
-
-val emit_program :
-  Wr_ir.Ddg.t ->
-  Wr_sched.Schedule.t ->
-  allocation ->
-  Wr_machine.Config.t ->
-  iterations:int ->
-  string
-(** The complete flat program for a concrete iteration count: pipeline
-    fill (prologue), the steady-state region (annotated with where the
-    hardware would loop), and the drain (epilogue).  Iteration counts
-    are concrete, so every word is shown as the machine would execute
-    it; mainly a debugging and teaching aid — real code would branch
-    over the kernel. *)

@@ -16,9 +16,6 @@ let test_sia_table1 () =
       Alcotest.(check (float 1e-9)) "lambda" 0.25 g.Sia.lambda_um;
       Alcotest.(check (float 1.0)) "capacity" 4800.0e6 g.Sia.lambda2_per_chip
   | None -> Alcotest.fail "1998 missing");
-  (match Sia.by_lambda 0.07 with
-  | Some g -> Alcotest.(check int) "2010" 2010 g.Sia.year
-  | None -> Alcotest.fail "0.07 missing");
   Alcotest.(check bool) "unknown year" true (Sia.by_year 1999 = None)
 
 let test_register_cell_exact_table2 () =

@@ -321,16 +321,6 @@ let test_loop_validation () =
        false
      with Invalid_argument _ -> true)
 
-(* --- dot export --------------------------------------------------------- *)
-
-let test_dot_export () =
-  let b = B.create ~name:"dot" () in
-  let x = B.load b ~array_id:0 () in
-  B.store b ~array_id:1 () x;
-  let loop = B.finish b ~trip_count:10 () in
-  let s = Wr_ir.Dot.of_loop loop in
-  Alcotest.(check bool) "digraph" true (String.length s > 20 && String.sub s 0 7 = "digraph")
-
 (* --- text format ---------------------------------------------------------- *)
 
 let test_text_parse_daxpy () =
@@ -650,7 +640,6 @@ let () =
           Alcotest.test_case "live-in undefined" `Quick test_builder_live_in_not_defined;
           Alcotest.test_case "loop validation" `Quick test_loop_validation;
         ] );
-      ("dot", [ Alcotest.test_case "export" `Quick test_dot_export ]);
       ( "text_format",
         [
           Alcotest.test_case "parse daxpy" `Quick test_text_parse_daxpy;

@@ -268,45 +268,6 @@ let test_validate_catches_bad_schedule () =
   Alcotest.(check bool) "invalid detected" true
     (Result.is_error (Schedule.validate loop.Loop.ddg resource_1w1 bad))
 
-(* --- SMS ordering ----------------------------------------------------------- *)
-
-let test_sms_order_is_permutation () =
-  List.iter
-    (fun (_, loop) ->
-      let g = loop.Loop.ddg in
-      let ii = Mii.rec_mii ~cycle_model:cm g in
-      let order = Wr_sched.Sms_order.compute ~cycle_model:cm g ~ii in
-      let sorted = Array.copy order in
-      Array.sort compare sorted;
-      Alcotest.(check (array int)) "permutation" (Array.init (Ddg.num_ops g) (fun i -> i)) sorted)
-    (K.all ())
-
-let test_sms_schedules_kernels () =
-  List.iter
-    (fun (name, loop) ->
-      let result =
-        Modulo.run resource_1w1 ~cycle_model:cm ~ordering:`Sms loop.Loop.ddg
-      in
-      Alcotest.(check bool) (name ^ " valid") true
-        (Result.is_ok (Schedule.validate loop.Loop.ddg resource_1w1 result.Modulo.schedule)))
-    (K.all ())
-
-let test_sms_register_friendly () =
-  (* The published SMS claim on our workload: at equal II it needs no
-     more registers than the height ordering, usually fewer. *)
-  let loops = Wr_workload.Suite.sample 40 in
-  let resource = Resource.of_config (Config.xwy ~x:2 ~y:1 ()) in
-  let total ordering =
-    Array.fold_left
-      (fun acc (l : Loop.t) ->
-        let r = Modulo.run resource ~cycle_model:cm ~ordering l.Loop.ddg in
-        let lts = Wr_regalloc.Lifetime.of_schedule l.Loop.ddg r.Modulo.schedule in
-        acc + (Wr_regalloc.Alloc.allocate ~ii:r.Modulo.schedule.Schedule.ii lts).Wr_regalloc.Alloc.required)
-      0 loops
-  in
-  let ims = total `Ims and sms = total `Sms in
-  Alcotest.(check bool) (Printf.sprintf "sms %d <= ims %d" sms ims) true (sms <= ims)
-
 (* --- exhaustive search cross-check ------------------------------------------ *)
 
 module Exact = Wr_sched.Exact
@@ -527,15 +488,6 @@ let gen_case =
 
 let configs = [| (1, 1); (2, 1); (4, 1); (8, 1) |]
 
-let prop_sms_schedules_are_legal =
-  QCheck.Test.make ~name:"SMS schedules satisfy deps and resources" ~count:50 gen_case
-    (fun (seed, xi, _, _) ->
-      let x, _ = configs.(xi) in
-      let loop = random_loop seed in
-      let resource = Resource.of_config (Config.xwy ~x ~y:1 ()) in
-      let result = Modulo.run resource ~cycle_model:cm ~ordering:`Sms loop.Loop.ddg in
-      Result.is_ok (Schedule.validate loop.Loop.ddg resource result.Modulo.schedule))
-
 let prop_schedules_are_legal =
   QCheck.Test.make ~name:"modulo schedules satisfy deps and resources" ~count:80 gen_case
     (fun (seed, xi, yi, cmi) ->
@@ -648,19 +600,12 @@ let () =
           Alcotest.test_case "cycles short trips" `Quick test_schedule_cycles_short_trips;
           Alcotest.test_case "mrt remove underflow" `Quick test_mrt_remove_underflow_diagnoses;
         ] );
-      ( "sms",
-        [
-          Alcotest.test_case "permutation" `Quick test_sms_order_is_permutation;
-          Alcotest.test_case "schedules kernels" `Quick test_sms_schedules_kernels;
-          Alcotest.test_case "register friendly" `Quick test_sms_register_friendly;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_schedules_are_legal;
             prop_ii_at_least_mii;
             prop_ii_close_to_mii;
-            prop_sms_schedules_are_legal;
             prop_rec_mii_independent_of_resources;
             prop_rec_rate_bounds_rec_mii;
           ] );
