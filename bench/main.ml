@@ -357,18 +357,18 @@ let run_experiment id =
               | Ok _ -> ()
               | Error msg ->
                   incr failed;
-                  Printf.printf "  MISMATCH %s on %dw%d: %s
-" loop.Wr_ir.Loop.name x y msg)
+                  Printf.printf "  MISMATCH %s on %dw%d: %s\n" loop.Wr_ir.Loop.name x y msg)
             configs)
         sample;
       Printf.printf
-        "End-to-end validation: %d (loop, config) points simulated cycle-by-cycle, %d mismatches against the reference interpreter.
-"
+        "End-to-end validation: %d (loop, config) points simulated cycle-by-cycle, %d \
+         mismatches against the reference interpreter.\n"
         !checked !failed;
       if !failed > 0 then
         defer_failure (Printf.sprintf "endtoend: %d simulation mismatch(es)" !failed);
       paper_note
-        "Beyond the paper: every schedule is executed on a cycle-level simulator with MVE          register assignment and compared bit-for-bit with sequential semantics."
+        "Beyond the paper: every schedule is executed on a cycle-level simulator with MVE \
+         register assignment and compared bit-for-bit with sequential semantics."
   | "gap" ->
       (* HRMS-vs-optimal study: the exact branch-and-bound backend
          refines the heuristic schedule of every (family, loop, config)

@@ -107,6 +107,26 @@ let check_schedule g resource (s : Schedule.t) =
 
 (* --- regalloc oracle --------------------------------------------------- *)
 
+(* MaxLives by a naive per-slot count, deliberately not
+   [Lifetime.max_lives]: every whole wrap adds one to every slot, and
+   each residual arc is walked slot by slot. *)
+let naive_max_lives ~ii lifetimes =
+  let cover = Array.make ii 0 in
+  List.iter
+    (fun lt ->
+      let len = Lifetime.length lt in
+      let full = len / ii and rem = len mod ii in
+      for s = 0 to ii - 1 do
+        cover.(s) <- cover.(s) + full
+      done;
+      let base = ((lt.Lifetime.start mod ii) + ii) mod ii in
+      for k = 0 to rem - 1 do
+        let s = (base + k) mod ii in
+        cover.(s) <- cover.(s) + 1
+      done)
+    lifetimes;
+  Array.fold_left Stdlib.max 0 cover
+
 let check_alloc g (s : Schedule.t) (alloc : Alloc.t) ~available =
   let buf = ref [] in
   let ii = s.Schedule.ii in
@@ -176,7 +196,7 @@ let check_alloc g (s : Schedule.t) (alloc : Alloc.t) ~available =
       "reported requirement %d, but re-count gives %d whole + %d arc register(s) = %d"
       alloc.Alloc.required !whole_total distinct_arc_registers
       (!whole_total + distinct_arc_registers);
-  let max_lives = Lifetime.max_lives ~ii lifetimes in
+  let max_lives = naive_max_lives ~ii lifetimes in
   if alloc.Alloc.max_lives <> max_lives then
     add buf "alloc.maxlives" "reported MaxLives %d, recomputed %d" alloc.Alloc.max_lives
       max_lives;

@@ -9,16 +9,27 @@
     residual arcs into registers:
 
     {ul
-    {- {e adjacency ordering}: arcs are processed by ascending start
-       slot (adjacent lifetimes meet end-to-start);}
-    {- {e end-fit}: each arc goes to the compatible register whose most
-       recent occupant ends closest to the arc's start, minimizing
-       wasted ring space; a fresh register is opened when no placed
-       register is compatible.}}
+    {- {e adjacency ordering}: registers are filled one at a time, each
+       seeded with the earliest-starting remaining arc (ties: shortest
+       arc, then input order);}
+    {- {e end-fit}: the register's chain then grows by the remaining
+       arc whose start follows the chain's current end with the
+       smallest forward gap and still fits in the ring space the
+       register has left (ties: shortest arc, then input order).  When
+       no arc fits, the next register opens with a new seed.}}
+
+    Arcs are kept in buckets by start slot, shortest first, so a chain
+    step scans the gaps forward from the chain's end and takes the
+    first bucket whose shortest arc fits.  Each register then costs
+    O(II), and an allocation O(n log n + registers × II) for [n]
+    lifetimes.
 
     The achieved requirement is within a register or two of the
     MaxLives lower bound on real schedules, matching the behaviour the
-    PLDI-92 paper reports. *)
+    PLDI-92 paper reports.
+
+    {b Precondition}: the lifetimes have distinct [vreg]s and
+    [stop >= start], as [Lifetime.of_schedule] returns them. *)
 
 type assignment = {
   vreg : int;

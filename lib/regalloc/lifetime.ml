@@ -40,21 +40,33 @@ let of_schedule g (s : Schedule.t) =
 
 let max_lives ~ii lifetimes =
   if ii <= 0 then invalid_arg "Lifetime.max_lives: ii must be positive";
-  let cover = Array.make ii 0 in
-  List.iter
-    (fun lt ->
-      let len = length lt in
-      let full = len / ii and rem = len mod ii in
-      for s = 0 to ii - 1 do
-        cover.(s) <- cover.(s) + full
-      done;
-      let base = ((lt.start mod ii) + ii) mod ii in
-      for k = 0 to rem - 1 do
-        let s = (base + k) mod ii in
-        cover.(s) <- cover.(s) + 1
-      done)
-    lifetimes;
-  Array.fold_left Stdlib.max 0 cover
+  (* Whole wraps cover every slot alike, so they add one scalar; the
+     residual arcs go through a difference array over the II slots. *)
+  let delta = Array.make (ii + 1) 0 in
+  let wraps =
+    List.fold_left
+      (fun wraps lt ->
+        let len = length lt in
+        let rem = len mod ii in
+        if rem > 0 then begin
+          let base = ((lt.start mod ii) + ii) mod ii in
+          let stop = base + rem in
+          delta.(base) <- delta.(base) + 1;
+          if stop <= ii then delta.(stop) <- delta.(stop) - 1
+          else begin
+            delta.(0) <- delta.(0) + 1;
+            delta.(stop - ii) <- delta.(stop - ii) - 1
+          end
+        end;
+        wraps + (len / ii))
+      0 lifetimes
+  in
+  let live = ref 0 and peak = ref 0 in
+  for s = 0 to ii - 1 do
+    live := !live + delta.(s);
+    if !live > !peak then peak := !live
+  done;
+  Stdlib.max 0 (wraps + !peak)
 
 let pp fmt t =
   Format.fprintf fmt "v%d: [%d, %d) by op%d (len %d)" t.vreg t.start t.stop t.def_op (length t)

@@ -27,6 +27,8 @@ val of_schedule : Wr_ir.Ddg.t -> Wr_sched.Schedule.t -> t list
 val max_lives : ii:int -> t list -> int
 (** MaxLives: the maximum number of simultaneously live values over the
     II kernel slots, counting each variant once per concurrently live
-    iteration — the classic lower bound on the register requirement. *)
+    iteration — the classic lower bound on the register requirement.
+    Costs O(lifetimes + II): the whole-II wraps add one scalar and the
+    residual arcs go through a difference array. *)
 
 val pp : Format.formatter -> t -> unit

@@ -149,8 +149,8 @@ let attempt ~view ~delays ~ii ~rec_mii ~critical ~budget s =
   let order = s.order in
   Array.sort
     (fun a b ->
-      match compare critical.(b) critical.(a) with
-      | 0 -> ( match compare h.(b) h.(a) with 0 -> compare a b | c -> c)
+      match Bool.compare critical.(b) critical.(a) with
+      | 0 -> ( match Int.compare h.(b) h.(a) with 0 -> Int.compare a b | c -> c)
       | c -> c)
     order;
   let position = s.position in
@@ -236,9 +236,15 @@ let attempt ~view ~delays ~ii ~rec_mii ~critical ~budget s =
     for q = 0 to n - 1 do
       if q <> op && scheduled.(q) && op_cls.(q) = op_cls.(op) then evictable := q :: !evictable
     done;
-    (* Evict lower-priority victims first. *)
+    (* Evict lower-priority victims first; the sort is stable, so ties
+       keep their list order. *)
     let victims =
-      List.sort (fun a b -> compare (critical.(a), h.(a)) (critical.(b), h.(b))) !evictable
+      List.sort
+        (fun a b ->
+          match Bool.compare critical.(a) critical.(b) with
+          | 0 -> Int.compare h.(a) h.(b)
+          | c -> c)
+        !evictable
     in
     let rec evict = function
       | [] -> ()

@@ -264,6 +264,24 @@ let test_oracle_alloc_clean_and_file_check () =
        (fun v -> v.Oracle.oracle = "alloc.file" || v.Oracle.oracle = "alloc.maxlives")
        vs)
 
+let test_oracle_alloc_catches_wrong_max_lives () =
+  (* The oracle counts MaxLives itself, not through
+     [Lifetime.max_lives], so an allocation that reports any other
+     bound is flagged whatever the allocator computed. *)
+  let loop = K.banded_matvec () in
+  let s = sched loop (Config.xwy ~x:2 ~y:1 ()) in
+  let a = Alloc.allocate ~ii:s.Schedule.ii (Lifetime.of_schedule loop.Loop.ddg s) in
+  List.iter
+    (fun delta ->
+      let wrong = { a with Alloc.max_lives = a.Alloc.max_lives + delta } in
+      Alcotest.(check bool)
+        (Printf.sprintf "MaxLives off by %+d flagged" delta)
+        true
+        (List.exists
+           (fun v -> v.Oracle.oracle = "alloc.maxlives")
+           (Oracle.check_alloc loop.Loop.ddg s wrong ~available:None)))
+    [ -1; 1 ]
+
 let test_oracle_widening_clean () =
   List.iter
     (fun (name, loop) ->
@@ -353,6 +371,8 @@ let () =
             test_oracle_schedule_catches_corruption;
           Alcotest.test_case "alloc clean + file check" `Quick
             test_oracle_alloc_clean_and_file_check;
+          Alcotest.test_case "alloc wrong MaxLives flagged" `Quick
+            test_oracle_alloc_catches_wrong_max_lives;
           Alcotest.test_case "widening clean" `Quick test_oracle_widening_clean;
           Alcotest.test_case "widening catches mismatch" `Quick
             test_oracle_widening_catches_mismatch;

@@ -124,6 +124,158 @@ let test_alloc_empty () =
   let a = Alloc.allocate ~ii:4 [] in
   Alcotest.(check int) "no registers" 0 a.Alloc.required
 
+(* --- allocation kernels vs the list-based reference --------------------------- *)
+
+(* The list-based MaxLives and allocator that the difference-array and
+   bucketed kernels replaced, kept verbatim as a test-only reference:
+   the kernels must return structurally equal results on every input. *)
+module Reference = struct
+  open Alloc
+
+  let max_lives ~ii lifetimes =
+    if ii <= 0 then invalid_arg "Lifetime.max_lives: ii must be positive";
+    let cover = Array.make ii 0 in
+    List.iter
+      (fun lt ->
+        let len = Lifetime.length lt in
+        let full = len / ii and rem = len mod ii in
+        for s = 0 to ii - 1 do
+          cover.(s) <- cover.(s) + full
+        done;
+        let base = ((lt.Lifetime.start mod ii) + ii) mod ii in
+        for k = 0 to rem - 1 do
+          let s = (base + k) mod ii in
+          cover.(s) <- cover.(s) + 1
+        done)
+      lifetimes;
+    Array.fold_left Stdlib.max 0 cover
+
+  let allocate ~ii lifetimes =
+    let max_lives = max_lives ~ii lifetimes in
+    (* Split every lifetime into whole registers plus a residual arc. *)
+    let items =
+      List.map
+        (fun (lt : Lifetime.t) ->
+          let len = Lifetime.length lt in
+          let whole = len / ii and rem = len mod ii in
+          let start = ((lt.Lifetime.start mod ii) + ii) mod ii in
+          (lt.Lifetime.vreg, whole, if rem = 0 then None else Some (start, rem)))
+        lifetimes
+    in
+    let with_arcs =
+      List.filter_map
+        (fun (v, w, arc) -> match arc with Some a -> Some (v, w, a) | None -> None)
+        items
+    in
+    let pending = ref (List.sort (fun (_, _, a1) (_, _, a2) -> compare a1 a2) with_arcs) in
+    let num_registers = ref 0 in
+    let arc_assignments = ref [] in
+    while !pending <> [] do
+      let reg = !num_registers in
+      incr num_registers;
+      (* Seed the chain with the earliest-starting remaining arc. *)
+      (match !pending with
+      | [] -> ()
+      | ((v0, w0, (s0, l0)) as seed) :: _ ->
+          pending := List.filter (fun x -> x != seed) !pending;
+          arc_assignments := (v0, { vreg = v0; register = reg; whole_registers = w0 }) :: !arc_assignments;
+          let used = ref l0 in
+          let current_end = ref ((s0 + l0) mod ii) in
+          let continue_chain = ref true in
+          while !continue_chain do
+            (* Smallest forward gap from the chain end that still fits. *)
+            let best = ref None in
+            List.iter
+              (fun ((_, _, (s, l)) as cand) ->
+                let gap = ((s - !current_end) mod ii + ii) mod ii in
+                if !used + gap + l <= ii then
+                  match !best with
+                  | Some (_, best_gap) when best_gap <= gap -> ()
+                  | _ -> best := Some (cand, gap))
+              !pending;
+            match !best with
+            | None -> continue_chain := false
+            | Some (((v, w, (s, l)) as cand), gap) ->
+                pending := List.filter (fun x -> x != cand) !pending;
+                arc_assignments :=
+                  (v, { vreg = v; register = reg; whole_registers = w }) :: !arc_assignments;
+                used := !used + gap + l;
+                current_end := (s + l) mod ii
+          done)
+    done;
+    let arc_assignments = !arc_assignments in
+    let no_arc_assignments =
+      List.filter_map
+        (fun (v, w, arc) ->
+          match arc with None -> Some (v, { vreg = v; register = -1; whole_registers = w }) | Some _ -> None)
+        items
+    in
+    let assignments =
+      List.map snd
+        (List.sort
+           (fun (v1, _) (v2, _) -> compare v1 v2)
+           (arc_assignments @ no_arc_assignments))
+    in
+    let whole_total = List.fold_left (fun acc a -> acc + a.whole_registers) 0 assignments in
+    { required = whole_total + !num_registers; max_lives; assignments; ii }
+end
+
+let agrees_with_reference ~ii lts =
+  Lifetime.max_lives ~ii lts = Reference.max_lives ~ii lts
+  && Alloc.allocate ~ii lts = Reference.allocate ~ii lts
+
+(* Random rings: II 1-400, 0-300 lifetimes with distinct vregs in
+   shuffled order, lengths 1..5*II with a quarter of them exact
+   multiples of II (no residual arc), and starts up to 4*II so arcs
+   wrap past slot II-1. *)
+let gen_ring =
+  QCheck.Gen.(
+    int_range 1 400 >>= fun ii ->
+    int_range 0 300 >>= fun n ->
+    shuffle_l (List.init n (fun i -> 3 * i)) >>= fun vregs ->
+    let lifetime vreg =
+      map2
+        (fun start len -> { Lifetime.vreg; def_op = vreg; start; stop = start + len })
+        (int_range 0 (4 * ii))
+        (frequency [ (3, int_range 1 (5 * ii)); (1, map (( * ) ii) (int_range 1 5)) ])
+    in
+    map (fun lts -> (ii, lts)) (flatten_l (List.map lifetime vregs)))
+
+let arb_ring =
+  QCheck.make
+    ~print:(fun (ii, lts) ->
+      Printf.sprintf "II %d: %s" ii
+        (String.concat "; " (List.map (Format.asprintf "%a" Lifetime.pp) lts)))
+    gen_ring
+
+let prop_kernels_match_reference =
+  QCheck.Test.make ~name:"MaxLives and allocation equal the list-based reference" ~count:300
+    arb_ring (fun (ii, lts) -> agrees_with_reference ~ii lts)
+
+(* Real probes: the sample's widened loops at the first II the
+   scheduler finds, one above it, and 2x and 4x the MII, as the
+   driver's escalation probes them. *)
+let test_kernels_match_reference_on_probes () =
+  List.iter
+    (fun (x, y) ->
+      let config = Config.xwy ~x ~y () in
+      let resource = Resource.of_config config in
+      Array.iter
+        (fun loop ->
+          let g = (fst (Wr_widen.Transform.widen loop ~width:y)).Loop.ddg in
+          let first = Modulo.run resource ~cycle_model:cm g in
+          let ii0 = first.Modulo.schedule.Schedule.ii and mii = first.Modulo.mii in
+          List.iter
+            (fun min_ii ->
+              let s = (Modulo.run resource ~cycle_model:cm ~min_ii g).Modulo.schedule in
+              let ii = s.Schedule.ii in
+              if not (agrees_with_reference ~ii (Lifetime.of_schedule g s)) then
+                Alcotest.failf "%s at %s, II %d: differs from the reference" loop.Loop.name
+                  (Config.label config) ii)
+            [ ii0; ii0 + 1; 2 * mii; 4 * mii ])
+        (Wr_workload.Suite.sample 60))
+    [ (2, 1); (4, 2); (1, 8) ]
+
 (* --- spill ------------------------------------------------------------------ *)
 
 let test_spill_choose_picks_longest () =
@@ -345,6 +497,8 @@ let () =
           Alcotest.test_case "requirement bound" `Quick test_alloc_requirement_ge_maxlives;
           Alcotest.test_case "no overlap" `Quick test_alloc_assignment_no_overlap;
           Alcotest.test_case "empty" `Quick test_alloc_empty;
+          Alcotest.test_case "equals the reference on real probes" `Quick
+            test_kernels_match_reference_on_probes;
         ] );
       ( "spill",
         [
@@ -365,5 +519,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_alloc_within_bound; prop_driver_result_fits; prop_spilled_graph_valid ] );
+          [
+            prop_alloc_within_bound;
+            prop_driver_result_fits;
+            prop_spilled_graph_valid;
+            prop_kernels_match_reference;
+          ] );
     ]
